@@ -24,6 +24,7 @@ from .estimate import (
     minimize_closed_form,
     minimize_golden,
     objective,
+    objective_curve,
     uniform_objective_gap,
 )
 from .experiments import (
@@ -36,7 +37,6 @@ from .experiments import (
 )
 from .simulate import (
     CoupledRunResult,
-    IntegratorSpec,
     Scheme,
     simulate_coupled,
     simulate_overdamped,

@@ -7,7 +7,6 @@ default output directory for relative output paths.
 """
 
 import argparse
-import math
 import os
 import sys
 import time
@@ -18,10 +17,10 @@ from . import io
 from .core import (ConfigError, DivergenceError, IdentifiabilityError,
                    MODELS, ObservationGrid, SystemParams, make_noise_path)
 from .estimate import (ParameterSpace, minimize_closed_form, minimize_golden,
-                       objective)
-from .experiments import (FIGURE1_SPACE, SweepConfig, run_figure1,
-                          run_gamma_diagnostic, run_consistency_sweep)
-from .simulate import IntegratorSpec, Scheme, simulate_overdamped, simulate_underdamped
+                       objective_curve)
+from .experiments import (SweepConfig, run_figure1, run_gamma_diagnostic,
+                          run_consistency_sweep)
+from .simulate import Scheme, simulate_overdamped, simulate_underdamped
 
 SCHEMES = {
     "exponential": Scheme.EXPONENTIAL_VELOCITY,
@@ -103,12 +102,12 @@ def _cmd_simulate(args) -> int:
                           x0=args.x0, v0=args.v0)
     grid = ObservationGrid.uniform(args.n, args.dt, args.substeps)
     noise = make_noise_path(args.seed, args.stream, grid)
-    spec = IntegratorSpec(SCHEMES[args.scheme])
     start = time.perf_counter()
     if args.mode == "underdamped":
-        traj = simulate_underdamped(model, args.theta, params, grid, spec, noise)
+        traj = simulate_underdamped(model, args.theta, params, grid,
+                                    SCHEMES[args.scheme], noise)
     else:
-        traj = simulate_overdamped(model, args.theta, params, grid, spec, noise)
+        traj = simulate_overdamped(model, args.theta, params, grid, noise)
     elapsed = time.perf_counter() - start
     out = _out_path(args.out)
     io.write_trajectory_csv(out, traj)
@@ -133,7 +132,7 @@ def _cmd_estimate(args) -> int:
           f"evaluations={result.evaluations}")
     if args.curve is not None:
         thetas = np.linspace(space.lo, space.hi, args.curve_points)
-        values = [objective(traj, model, args.gamma, t) for t in thetas]
+        values = objective_curve(traj, model, args.gamma, thetas)
         curve_path = _out_path(args.curve)
         io.write_curve_csv(curve_path, thetas, values)
         print(f"wrote {curve_path}")
@@ -148,7 +147,7 @@ def _sweep_config_from_file(args) -> SweepConfig:
     for key in raw:
         if key not in known:
             raise ConfigError(f"unknown config key {key!r}")
-    cfg = SweepConfig(
+    return SweepConfig(
         mu_values=io.config_get(raw, "mu_values", io.parse_float_list),
         n_values=io.config_get(raw, "n_values", io.parse_int_list),
         delta=io.config_get(raw, "delta", float, 1.0),
@@ -166,7 +165,6 @@ def _sweep_config_from_file(args) -> SweepConfig:
         v0=io.config_get(raw, "v0", float, 0.0),
         substeps=io.config_get(raw, "substeps", int, 4),
     )
-    return cfg
 
 
 def _cmd_sweep(args) -> int:

@@ -1,9 +1,9 @@
 """Domain types shared by the simulators, the estimator and the experiment drivers.
 
-All types are plain immutable dataclasses; state is either a python float
-(1-D, the common case) or a numpy array (general dimension). Model evaluation
-functions are vectorized over a leading sample axis so the estimator can
-evaluate a whole trajectory in one call.
+All types are plain immutable dataclasses; the particle is one-dimensional
+and its state is a python float. Model evaluation functions also accept a
+numpy array of positions, so the estimator can evaluate a whole trajectory
+in one call.
 """
 
 import math
@@ -41,23 +41,16 @@ class DriftModel:
     ----------
     name : str
         Identifier used by the CLI model registry.
-    dim : int
-        State dimension. All shipped experiments use dim = 1.
     eval : callable
-        (x, theta) -> drift, vectorized over a leading sample axis of x.
+        (x, theta) -> drift, for a float x or an array of positions.
     linear_decomposition : (callable, callable) or None
         Pair (b1, b0) with b(x, theta) = theta * b1(x) + b0(x), when the
         model is linear in theta. Enables the closed-form minimizer.
     """
 
     name: str
-    dim: int
     eval: Callable
     linear_decomposition: Optional[Tuple[Callable, Callable]] = None
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("DriftModel.dim must be a positive integer")
 
 
 def eval_drift(model: DriftModel, x, theta: float):
@@ -92,7 +85,7 @@ def colloidal_model() -> DriftModel:
             return theta * (math.exp(z) if z < 709.0 else math.inf) - G_EFF
         return theta * np.exp(-inv_debye * np.asarray(x, dtype=float)) - G_EFF
 
-    return DriftModel(name="colloidal", dim=1, eval=force,
+    return DriftModel(name="colloidal", eval=force,
                       linear_decomposition=(b1, b0))
 
 
@@ -110,7 +103,7 @@ def ou_model() -> DriftModel:
             return -theta * x
         return -theta * np.asarray(x, dtype=float)
 
-    return DriftModel(name="ou", dim=1, eval=drift, linear_decomposition=(b1, b0))
+    return DriftModel(name="ou", eval=drift, linear_decomposition=(b1, b0))
 
 
 def zero_drift_model() -> DriftModel:
@@ -121,7 +114,7 @@ def zero_drift_model() -> DriftModel:
             return 0.0
         return np.zeros_like(np.asarray(x, dtype=float))
 
-    return DriftModel(name="zero-drift", dim=1, eval=drift)
+    return DriftModel(name="zero-drift", eval=drift)
 
 
 def constant_force_model() -> DriftModel:
@@ -138,7 +131,7 @@ def constant_force_model() -> DriftModel:
             return theta
         return np.full_like(np.asarray(x, dtype=float), theta)
 
-    return DriftModel(name="constant-force", dim=1, eval=drift,
+    return DriftModel(name="constant-force", eval=drift,
                       linear_decomposition=(b1, b0))
 
 
@@ -154,8 +147,8 @@ MODELS = {
 class SystemParams:
     """Physical parameters of the second-order system.
 
-    mass and friction must be positive; noise is a nonnegative constant.
-    v0 is ignored by the overdamped simulator.
+    All values must be finite; mass and friction must be positive and noise
+    is a nonnegative constant. v0 is ignored by the overdamped simulator.
     """
 
     mass: float
@@ -165,16 +158,15 @@ class SystemParams:
     v0: float = 0.0
 
     def __post_init__(self):
+        for key in ("mass", "friction", "noise", "x0", "v0"):
+            if not math.isfinite(getattr(self, key)):
+                raise ValueError(f"{key} must be finite, got {getattr(self, key)}")
         if not self.mass > 0:
             raise ValueError(f"mass must be > 0, got {self.mass}")
         if not self.friction > 0:
             raise ValueError(f"friction must be > 0, got {self.friction}")
         if not self.noise >= 0:
             raise ValueError(f"noise must be >= 0, got {self.noise}")
-
-    @property
-    def dim(self) -> int:
-        return 1 if np.ndim(self.x0) == 0 else len(self.x0)
 
 
 class ObservationGrid:
@@ -273,19 +265,14 @@ class NoisePath:
     stream_id: int
 
 
-def make_noise_path(seed: int, stream_id: int, grid: ObservationGrid,
-                    dim: int = 1) -> NoisePath:
+def make_noise_path(seed: int, stream_id: int, grid: ObservationGrid) -> NoisePath:
     """Realize the Brownian increments driving one simulation run."""
-    if seed < 0 or stream_id < 0:
-        raise ValueError("seed and stream_id must be nonnegative integers")
+    # the Philox key packs both into 128 bits, so wider values would alias
+    if not (0 <= seed < 2 ** 64 and 0 <= stream_id < 2 ** 64):
+        raise ValueError("seed and stream_id must be integers in [0, 2**64)")
     key = (int(stream_id) << 64) | int(seed)
     rng = np.random.Generator(np.random.Philox(key=key))
     widths = grid.substep_widths()
-    if dim == 1:
-        z = rng.standard_normal(len(widths))
-        increments = z * np.sqrt(widths)
-    else:
-        z = rng.standard_normal((len(widths), dim))
-        increments = z * np.sqrt(widths)[:, None]
+    increments = rng.standard_normal(len(widths)) * np.sqrt(widths)
     increments.setflags(write=False)
     return NoisePath(increments=increments, seed=int(seed), stream_id=int(stream_id))

@@ -44,11 +44,12 @@ class EstimationResult:
 
 
 def _residual_parts(traj: Trajectory, friction: float):
+    if not (friction > 0 and math.isfinite(friction)):
+        raise ValueError(f"friction must be finite and > 0, got {friction}")
     x = traj.positions
     dts = traj.grid.dts
     d = x[1:] - x[:-1]
-    scale = dts / friction if x.ndim == 1 else (dts / friction)[:, None]
-    return x[:-1], d, dts, scale
+    return x[:-1], d, dts, dts / friction
 
 
 def objective(traj: Trajectory, model: DriftModel, friction: float,
@@ -56,12 +57,8 @@ def objective(traj: Trajectory, model: DriftModel, friction: float,
     """Evaluate the least-squares objective at one theta."""
     if len(traj.grid) < 2:
         raise ValueError("objective needs at least two observation points")
-    if not friction > 0:
-        raise ValueError("friction must be > 0")
     xprev, d, dts, scale = _residual_parts(traj, friction)
     r = d - scale * model.eval(xprev, theta)
-    if r.ndim > 1:
-        return float(np.sum(np.sum(r * r, axis=-1) / dts))
     return float(np.sum(r * r / dts))
 
 
@@ -75,15 +72,20 @@ def quadratic_coefficients(traj: Trajectory, model: DriftModel,
     xprev, d, dts, scale = _residual_parts(traj, friction)
     u = d - scale * b0(xprev)
     w = scale * b1(xprev)
-    if u.ndim > 1:
-        a = float(np.sum(np.sum(w * w, axis=-1) / dts))
-        b = -2.0 * float(np.sum(np.sum(u * w, axis=-1) / dts))
-        c = float(np.sum(np.sum(u * u, axis=-1) / dts))
-    else:
-        a = float(np.sum(w * w / dts))
-        b = -2.0 * float(np.sum(u * w / dts))
-        c = float(np.sum(u * u / dts))
+    a = float(np.sum(w * w / dts))
+    b = -2.0 * float(np.sum(u * w / dts))
+    c = float(np.sum(u * u / dts))
     return a, b, c
+
+
+def objective_curve(traj: Trajectory, model: DriftModel, friction: float,
+                    thetas: np.ndarray) -> np.ndarray:
+    """The objective at every theta of a grid: from the quadratic
+    coefficients for linear-in-theta models, one pass per theta otherwise."""
+    if model.linear_decomposition is not None:
+        a, b, c = quadratic_coefficients(traj, model, friction)
+        return (a * thetas + b) * thetas + c
+    return np.array([objective(traj, model, friction, t) for t in thetas])
 
 
 def minimize_closed_form(traj: Trajectory, model: DriftModel, friction: float,
@@ -110,7 +112,8 @@ def minimize_golden(traj: Trajectory, model: DriftModel, friction: float,
                     space: ParameterSpace, tol: float = 1e-10,
                     scan_points: int = 101) -> EstimationResult:
     """Derivative-free minimization: coarse grid scan to bracket the minimum,
-    then golden-section search until the bracket is below tol."""
+    then golden-section search until the bracket is below tol, or below a few
+    ulps of its ends when tol is finer than that."""
     if not tol > 0:
         raise ValueError("tol must be > 0")
 
@@ -120,9 +123,15 @@ def minimize_golden(traj: Trajectory, model: DriftModel, friction: float,
     thetas = np.linspace(space.lo, space.hi, scan_points)
     values = [f(t) for t in thetas]
     evals = scan_points
+    if min(values) == max(values):
+        raise IdentifiabilityError(
+            "theta is not identifiable from this path: the objective is flat "
+            f"over [{space.lo:g}, {space.hi:g}]")
     i = int(np.argmin(values))
     lo = thetas[max(i - 1, 0)]
     hi = thetas[min(i + 1, scan_points - 1)]
+    # the bracket cannot shrink below the spacing of doubles near its ends
+    tol = max(tol, 4.0 * float(np.spacing(max(abs(lo), abs(hi)))))
 
     # Golden-section on [lo, hi]; the scan guarantees the bracket holds the
     # best sampled point.

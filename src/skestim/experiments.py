@@ -8,18 +8,15 @@ independent of execution order.
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .core import (DriftModel, MODELS, NoisePath, ObservationGrid,
-                   SystemParams, Trajectory, make_noise_path)
+from .core import (DriftModel, MODELS, ObservationGrid, SystemParams,
+                   Trajectory, make_noise_path)
 from .estimate import (EstimationResult, ParameterSpace, minimize_closed_form,
-                       minimize_golden, quadratic_coefficients,
-                       uniform_objective_gap)
-from .simulate import (CoupledRunResult, IntegratorSpec, Scheme,
-                       simulate_coupled, simulate_underdamped,
-                       simulate_overdamped)
+                       minimize_golden, objective_curve, uniform_objective_gap)
+from .simulate import Scheme, simulate_coupled, simulate_underdamped
 
 # Figure defaults for the colloidal reproduction: gamma = 1/6, sigma = 10,
 # theta0 = 0.02, mu = 0.001, n = 1e5 observations. The observation spacing is
@@ -33,6 +30,9 @@ FIGURE1_N = 100_000
 FIGURE1_DT = 0.01
 FIGURE1_SUBSTEPS = 10
 FIGURE1_SPACE = ParameterSpace(0.0, 0.1)
+
+# _stream_id packs the n index and the replicate into 20 bits each.
+_STREAM_FIELD = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -58,8 +58,10 @@ class SweepConfig:
             raise ValueError("mu_values must be positive")
         if not self.n_values or any(n < 2 for n in self.n_values):
             raise ValueError("n_values must all be >= 2")
-        if self.replicates < 1:
-            raise ValueError("replicates must be >= 1")
+        if not 1 <= self.replicates <= _STREAM_FIELD:
+            raise ValueError(f"replicates must be in [1, {_STREAM_FIELD}]")
+        if len(self.n_values) > _STREAM_FIELD:
+            raise ValueError(f"at most {_STREAM_FIELD} n_values are allowed")
         if self.delta <= 0:
             raise ValueError("delta must be > 0")
         if self.model_id not in MODELS:
@@ -96,11 +98,10 @@ def _estimate(traj: Trajectory, model: DriftModel, gamma: float,
 
 def run_figure1(seed: int, n: int = FIGURE1_N, dt: float = FIGURE1_DT,
                 substeps: int = FIGURE1_SUBSTEPS,
-                curve_range: Tuple[float, float] = (0.0, 0.04),
-                curve_points: int = 401,
-                space: ParameterSpace = FIGURE1_SPACE):
+                curve_points: int = 401):
     """Simulate the colloidal particle underdamped at the reference
-    parameters, evaluate the objective over a theta grid and estimate theta.
+    parameters, evaluate the objective over theta in [0, 0.04] and estimate
+    theta over FIGURE1_SPACE.
 
     Returns (trajectory, (theta grid, objective values), EstimationResult).
     """
@@ -109,23 +110,23 @@ def run_figure1(seed: int, n: int = FIGURE1_N, dt: float = FIGURE1_DT,
                           noise=FIGURE1_SIGMA, x0=0.0, v0=0.0)
     grid = ObservationGrid.uniform(n, dt, substeps)
     noise = make_noise_path(seed, 0, grid)
-    spec = IntegratorSpec(Scheme.EXPONENTIAL_VELOCITY)
-    traj = simulate_underdamped(model, FIGURE1_THETA, params, grid, spec, noise)
+    traj = simulate_underdamped(model, FIGURE1_THETA, params, grid,
+                                Scheme.EXPONENTIAL_VELOCITY, noise)
 
-    a, b, c = quadratic_coefficients(traj, model, FIGURE1_GAMMA)
-    thetas = np.linspace(curve_range[0], curve_range[1], curve_points)
-    curve = (a * thetas + b) * thetas + c
+    thetas = np.linspace(0.0, 0.04, curve_points)
+    curve = objective_curve(traj, model, FIGURE1_GAMMA, thetas)
 
-    result = minimize_closed_form(traj, model, FIGURE1_GAMMA, space)
+    result = minimize_closed_form(traj, model, FIGURE1_GAMMA, FIGURE1_SPACE)
     return traj, (thetas, curve), result
 
 
 def run_consistency_sweep(cfg: SweepConfig) -> SweepResult:
     """Estimate theta for every (mu, n, replicate) cell with horizon
     T = delta * sqrt(n) and uniform spacing T/n. Replicate 0 of each cell also
-    runs the coupled small-mass diagnostic. Cell failures become error rows."""
+    runs the coupled small-mass diagnostic. Cells that fail with a
+    RuntimeError or ValueError become error rows; other exceptions propagate."""
     model = MODELS[cfg.model_id]()
-    spec = IntegratorSpec(Scheme.EXPONENTIAL_VELOCITY)
+    scheme = Scheme.EXPONENTIAL_VELOCITY
     rows = []
     for i_mu, mu in enumerate(cfg.mu_values):
         params = SystemParams(mass=mu, friction=cfg.gamma, noise=cfg.sigma,
@@ -140,19 +141,19 @@ def run_consistency_sweep(cfg: SweepConfig) -> SweepResult:
                     sup = None
                     if rep == 0:
                         coupled = simulate_coupled(model, cfg.theta_true,
-                                                   params, grid, spec, noise)
+                                                   params, grid, scheme, noise)
                         traj = coupled.underdamped
                         sup = coupled.sup_distance
                     else:
                         traj = simulate_underdamped(model, cfg.theta_true,
-                                                    params, grid, spec, noise)
+                                                    params, grid, scheme, noise)
                     result = _estimate(traj, model, cfg.gamma, cfg.space)
                     rows.append(SweepRow(
                         mu=mu, n=n, replicate=rep,
                         theta_hat=result.theta_hat,
                         abs_error=abs(result.theta_hat - cfg.theta_true),
                         sup_distance=sup))
-                except Exception as exc:  # record, keep sweeping
+                except (RuntimeError, ValueError) as exc:  # record, keep sweeping
                     rows.append(SweepRow(mu=mu, n=n, replicate=rep,
                                          theta_hat=float("nan"),
                                          abs_error=float("nan"),
@@ -163,30 +164,25 @@ def run_consistency_sweep(cfg: SweepConfig) -> SweepResult:
 
 def run_gamma_diagnostic(mu_values: Sequence[float], n: int, seed: int,
                          dt: float = 0.1,
-                         substeps: int = 20,
-                         theta: float = FIGURE1_THETA,
-                         gamma: float = FIGURE1_GAMMA,
-                         sigma: float = FIGURE1_SIGMA,
-                         model_id: str = "colloidal",
-                         space: ParameterSpace = FIGURE1_SPACE,
-                         grid_points: int = 1001):
-    """Per mass value: coupled sup distance and the uniform objective gap,
-    on a shared noise path so the columns are comparable across mu.
+                         substeps: int = 20):
+    """Per mass value: coupled sup distance and the uniform objective gap for
+    the colloidal figure-1 setup, on a shared noise path so the columns are
+    comparable across mu.
 
     Returns a list of (mu, uniform_gap, sup_distance) tuples.
     """
     if not mu_values:
         raise ValueError("mu_values must be non-empty")
-    model = MODELS[model_id]()
+    model = MODELS["colloidal"]()
     grid = ObservationGrid.uniform(n, dt, substeps)
     noise = make_noise_path(seed, 0, grid)
-    spec = IntegratorSpec(Scheme.EXPONENTIAL_VELOCITY)
     out = []
     for mu in mu_values:
-        params = SystemParams(mass=mu, friction=gamma, noise=sigma,
-                              x0=0.0, v0=0.0)
-        coupled = simulate_coupled(model, theta, params, grid, spec, noise)
+        params = SystemParams(mass=mu, friction=FIGURE1_GAMMA,
+                              noise=FIGURE1_SIGMA, x0=0.0, v0=0.0)
+        coupled = simulate_coupled(model, FIGURE1_THETA, params, grid,
+                                   Scheme.EXPONENTIAL_VELOCITY, noise)
         gap = uniform_objective_gap(coupled.underdamped, coupled.overdamped,
-                                    model, gamma, space, grid_points)
+                                    model, FIGURE1_GAMMA, FIGURE1_SPACE)
         out.append((mu, gap, coupled.sup_distance))
     return out

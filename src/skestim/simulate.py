@@ -20,7 +20,6 @@ Brownian increment, so coupled runs converge pathwise.
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
 
 import numpy as np
 
@@ -34,15 +33,6 @@ class Scheme(Enum):
 
 
 @dataclass(frozen=True)
-class IntegratorSpec:
-    """Discretization choice. substeps_per_interval, when given, must match
-    the grid's refinement (it exists so configs can carry both together)."""
-
-    scheme: Scheme = Scheme.EXPONENTIAL_VELOCITY
-    substeps_per_interval: Optional[int] = None
-
-
-@dataclass(frozen=True)
 class CoupledRunResult:
     """Underdamped and overdamped runs driven by the same noise path."""
 
@@ -51,39 +41,27 @@ class CoupledRunResult:
     sup_distance: float
 
 
-def _check_inputs(grid: ObservationGrid, spec: IntegratorSpec, noise: NoisePath):
-    if (spec.substeps_per_interval is not None
-            and spec.substeps_per_interval != grid.substeps_per_interval):
-        raise ValueError(
-            f"spec substeps ({spec.substeps_per_interval}) disagree with "
-            f"grid substeps ({grid.substeps_per_interval})")
+def _check_inputs(grid: ObservationGrid, noise: NoisePath):
     if len(noise.increments) != grid.total_substeps:
         raise ValueError(
             f"noise path has {len(noise.increments)} increments, "
             f"grid needs {grid.total_substeps}")
 
 
-def _finite(x) -> bool:
-    if isinstance(x, float):
-        return math.isfinite(x)
-    return bool(np.all(np.isfinite(x)))
-
-
 def simulate_underdamped(model: DriftModel, theta: float, params: SystemParams,
-                         grid: ObservationGrid, spec: IntegratorSpec,
+                         grid: ObservationGrid, scheme: Scheme,
                          noise: NoisePath) -> Trajectory:
     """Integrate the underdamped system; returns positions and velocities at
     the observation times (internal substeps are discarded)."""
-    _check_inputs(grid, spec, noise)
+    _check_inputs(grid, noise)
     mu, gamma, sigma = params.mass, params.friction, params.noise
-    scalar = np.ndim(params.x0) == 0
-    x = float(params.x0) if scalar else np.array(params.x0, dtype=float)
-    v = float(params.v0) if scalar else np.array(params.v0, dtype=float)
+    x = float(params.x0)
+    v = float(params.v0)
     feval = model.eval
     s = grid.substeps_per_interval
     dts = grid.dts
-    inc = noise.increments.tolist() if scalar else noise.increments
-    euler = spec.scheme is Scheme.EULER_MARUYAMA
+    inc = noise.increments.tolist()
+    euler = scheme is Scheme.EULER_MARUYAMA
 
     n = grid.n_intervals
     positions = [x]
@@ -116,7 +94,7 @@ def simulate_underdamped(model: DriftModel, theta: float, params: SystemParams,
                 x = x + relax * v + tail * f
                 v = a * v + (1.0 - a) * f
                 idx += 1
-        if not (_finite(x) and _finite(v)):
+        if not (math.isfinite(x) and math.isfinite(v)):
             raise DivergenceError(
                 f"underdamped run diverged at substep {idx} (t ~ {grid.times[k + 1]:g}): "
                 f"x={x!r}, v={v!r}")
@@ -128,17 +106,15 @@ def simulate_underdamped(model: DriftModel, theta: float, params: SystemParams,
 
 
 def simulate_overdamped(model: DriftModel, theta: float, params: SystemParams,
-                        grid: ObservationGrid, spec: IntegratorSpec,
-                        noise: NoisePath) -> Trajectory:
+                        grid: ObservationGrid, noise: NoisePath) -> Trajectory:
     """Euler-Maruyama integration of the overdamped limit; velocities absent."""
-    _check_inputs(grid, spec, noise)
+    _check_inputs(grid, noise)
     gamma, sigma = params.friction, params.noise
-    scalar = np.ndim(params.x0) == 0
-    x = float(params.x0) if scalar else np.array(params.x0, dtype=float)
+    x = float(params.x0)
     feval = model.eval
     s = grid.substeps_per_interval
     dts = grid.dts
-    inc = noise.increments.tolist() if scalar else noise.increments
+    inc = noise.increments.tolist()
 
     positions = [x]
     idx = 0
@@ -149,7 +125,7 @@ def simulate_overdamped(model: DriftModel, theta: float, params: SystemParams,
         for _ in range(s):
             x = x + feval(x, theta) * cb + cs * inc[idx]
             idx += 1
-        if not _finite(x):
+        if not math.isfinite(x):
             raise DivergenceError(
                 f"overdamped run diverged at substep {idx} "
                 f"(t ~ {grid.times[k + 1]:g}): x={x!r}")
@@ -159,16 +135,12 @@ def simulate_overdamped(model: DriftModel, theta: float, params: SystemParams,
 
 
 def simulate_coupled(model: DriftModel, theta: float, params: SystemParams,
-                     grid: ObservationGrid, spec: IntegratorSpec,
+                     grid: ObservationGrid, scheme: Scheme,
                      noise: NoisePath) -> CoupledRunResult:
     """Run both systems on the same Brownian increments and record the
     sup distance over observation times."""
-    under = simulate_underdamped(model, theta, params, grid, spec, noise)
-    over = simulate_overdamped(model, theta, params, grid, spec, noise)
-    diff = under.positions - over.positions
-    if diff.ndim > 1:
-        dist = np.sqrt(np.sum(diff * diff, axis=-1))
-    else:
-        dist = np.abs(diff)
+    under = simulate_underdamped(model, theta, params, grid, scheme, noise)
+    over = simulate_overdamped(model, theta, params, grid, noise)
+    dist = np.abs(under.positions - over.positions)
     return CoupledRunResult(underdamped=under, overdamped=over,
                             sup_distance=float(np.max(dist)))

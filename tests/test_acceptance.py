@@ -16,14 +16,14 @@ import numpy as np
 import pytest
 
 import skestim
-from skestim import (IntegratorSpec, MODELS, ObservationGrid, ParameterSpace,
+from skestim import (MODELS, ObservationGrid, ParameterSpace,
                      Scheme, SweepConfig, SystemParams, make_noise_path,
                      minimize_closed_form, minimize_golden,
                      run_consistency_sweep, run_figure1, run_gamma_diagnostic,
                      simulate_coupled, simulate_overdamped,
                      simulate_underdamped)
 
-EXP = IntegratorSpec(Scheme.EXPONENTIAL_VELOCITY)
+EXP = Scheme.EXPONENTIAL_VELOCITY
 OU = MODELS["ou"]()
 
 
@@ -60,7 +60,7 @@ def test_2_zero_noise_exactness():
         noise = make_noise_path(0, 0, grid)
         noise = type(noise)(increments=np.zeros_like(noise.increments),
                             seed=0, stream_id=0)
-        traj = simulate_overdamped(model, theta0, p, grid, EXP, noise)
+        traj = simulate_overdamped(model, theta0, p, grid, noise)
         res = minimize_closed_form(traj, model, gamma,
                                    ParameterSpace(theta0 - 1.0, theta0 + 1.0))
         worst = max(worst, abs(res.theta_hat - theta0))
@@ -74,7 +74,7 @@ def test_3_closed_form_vs_golden():
     worst, boundary_hits = 0.0, 0
     for seed in range(100):
         grid = ObservationGrid.uniform(50, 0.1, 1)
-        traj = simulate_overdamped(OU, 1.0, p, grid, EXP,
+        traj = simulate_overdamped(OU, 1.0, p, grid,
                                    make_noise_path(1000, seed, grid))
         cf = minimize_closed_form(traj, OU, 1.0, space)
         gs = minimize_golden(traj, OU, 1.0, space, tol=1e-12)
@@ -133,7 +133,7 @@ def test_7_simulator_oracles():
     grid = ObservationGrid.uniform(10, 0.1, 5)
     p = SystemParams(mass=1.0, friction=1.0, noise=1.0, x0=1.0)
     finals = np.array([
-        simulate_overdamped(OU, 1.0, p, grid, EXP,
+        simulate_overdamped(OU, 1.0, p, grid,
                             make_noise_path(2024, rep, grid)).positions[-1]
         for rep in range(10_000)])
     se = finals.std(ddof=1) / math.sqrt(len(finals))

@@ -60,6 +60,20 @@ class TestSimulateCommand:
         assert proc.returncode == 1
         assert "mass" in proc.stderr
 
+    def test_non_finite_param_exits_1(self, tmp_path):
+        args = [a if a != "0.1666667" else "inf" for a in SIMULATE_ARGS]
+        proc = run_cli(args, cwd=tmp_path)
+        assert proc.returncode == 1
+        assert "friction must be finite" in proc.stderr
+        assert not (tmp_path / "traj.csv").exists()
+
+    def test_seed_beyond_64_bits_exits_1(self, tmp_path):
+        # 2**64 would otherwise give the noise of --seed 0 --stream 1
+        args = [a if a != "7" else str(2 ** 64) for a in SIMULATE_ARGS]
+        proc = run_cli(args, cwd=tmp_path)
+        assert proc.returncode == 1
+        assert "2**64" in proc.stderr
+
     def test_divergence_exits_2(self, tmp_path):
         # colloidal drift explodes for strongly negative positions
         proc = run_cli(["simulate", "--model", "colloidal", "--mode", "overdamped",
@@ -133,6 +147,24 @@ class TestEstimateCommand:
                        cwd=tmp_path)
         assert proc.returncode == 3
         assert "identifiab" in proc.stderr.lower()
+
+    def test_zero_friction_exits_1(self, tmp_path):
+        self.make_hand_case(tmp_path)
+        proc = run_cli(["estimate", "--traj", "hand.csv", "--model", "ou",
+                        "--gamma", "0", "--theta-lo", "0", "--theta-hi", "1"],
+                       cwd=tmp_path)
+        assert proc.returncode == 1
+        assert "friction" in proc.stderr
+        assert "Warning" not in proc.stderr
+
+    def test_golden_flat_objective_exits_3(self, tmp_path):
+        self.make_hand_case(tmp_path)
+        proc = run_cli(["estimate", "--traj", "hand.csv", "--model", "zero-drift",
+                        "--gamma", "1", "--theta-lo", "-5", "--theta-hi", "5",
+                        "--method", "golden"], cwd=tmp_path)
+        assert proc.returncode == 3
+        assert "flat" in proc.stderr
+        assert "theta_hat" not in proc.stdout
 
 
 SWEEP_CFG = """\

@@ -65,6 +65,15 @@ class TestNoisePath:
         with pytest.raises(ValueError):
             make_noise_path(-1, 0, grid)
 
+    @pytest.mark.parametrize("seed,stream_id", [(2 ** 64, 0), (0, 2 ** 64)])
+    def test_rejects_values_that_would_alias(self, seed, stream_id):
+        # the Philox key is (stream_id << 64) | seed: seed 2**64 would
+        # collide with (seed 0, stream 1)
+        grid = ObservationGrid.uniform(2, 0.1)
+        with pytest.raises(ValueError, match=r"2\*\*64"):
+            make_noise_path(seed, stream_id, grid)
+        make_noise_path(2 ** 64 - 1, 2 ** 64 - 1, grid)
+
 
 class TestColloidalModel:
 
@@ -118,7 +127,7 @@ def test_linear_decomposition_consistency(name):
 
 
 def test_eval_drift_rejects_non_finite():
-    bad = DriftModel(name="bad", dim=1, eval=lambda x, theta: float("nan"))
+    bad = DriftModel(name="bad", eval=lambda x, theta: float("nan"))
     with pytest.raises(ValueError, match="non-finite"):
         eval_drift(bad, 0.0, 1.0)
 
@@ -127,13 +136,23 @@ class TestSystemParams:
 
     def test_valid(self):
         p = SystemParams(mass=1e-3, friction=1 / 6, noise=10.0, x0=0.0, v0=0.0)
-        assert p.dim == 1
+        assert (p.mass, p.friction, p.noise) == (1e-3, 1 / 6, 10.0)
 
     @pytest.mark.parametrize("kwargs", [
         dict(mass=0.0, friction=1.0, noise=1.0),
         dict(mass=-1.0, friction=1.0, noise=1.0),
         dict(mass=1.0, friction=0.0, noise=1.0),
         dict(mass=1.0, friction=1.0, noise=-0.1),
+        dict(mass=math.inf, friction=1.0, noise=1.0),
+        dict(mass=math.nan, friction=1.0, noise=1.0),
+        dict(mass=1.0, friction=math.inf, noise=1.0),
+        dict(mass=1.0, friction=math.nan, noise=1.0),
+        dict(mass=1.0, friction=1.0, noise=math.inf),
+        dict(mass=1.0, friction=1.0, noise=math.nan),
+        dict(mass=1.0, friction=1.0, noise=1.0, x0=math.inf),
+        dict(mass=1.0, friction=1.0, noise=1.0, x0=math.nan),
+        dict(mass=1.0, friction=1.0, noise=1.0, v0=-math.inf),
+        dict(mass=1.0, friction=1.0, noise=1.0, v0=math.nan),
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):

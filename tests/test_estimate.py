@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from skestim import (DriftModel, IdentifiabilityError, IntegratorSpec, MODELS,
+from skestim import (DriftModel, IdentifiabilityError, MODELS,
                      ObservationGrid, ParameterSpace, Scheme, SystemParams,
                      Trajectory, make_noise_path, minimize_closed_form,
-                     minimize_golden, objective, simulate_coupled,
+                     minimize_golden, objective, objective_curve,
+                     simulate_coupled,
                      simulate_overdamped, uniform_objective_gap)
 
-EXP = IntegratorSpec(Scheme.EXPONENTIAL_VELOCITY)
+EXP = Scheme.EXPONENTIAL_VELOCITY
 CONST_FORCE = MODELS["constant-force"]()
 OU = MODELS["ou"]()
 
@@ -25,7 +26,7 @@ def simulate_ou_dataset(seed, n=50, dt=0.1, sigma=0.3, theta=1.0):
     grid = ObservationGrid.uniform(n, dt, 1)
     p = SystemParams(mass=1.0, friction=1.0, noise=sigma, x0=1.0)
     noise = make_noise_path(seed, 0, grid)
-    return simulate_overdamped(OU, theta, p, grid, EXP, noise)
+    return simulate_overdamped(OU, theta, p, grid, noise)
 
 
 class TestObjective:
@@ -40,7 +41,7 @@ class TestObjective:
         # data generated by the same Euler step with sigma=0 and a
         # theta-independent drift leaves zero residuals for every theta
         gamma, c = 2.0, 0.4
-        model = DriftModel(name="const", dim=1, eval=lambda x, theta: gamma * c)
+        model = DriftModel(name="const", eval=lambda x, theta: gamma * c)
         grid = ObservationGrid([0.0, 0.5, 0.7, 1.9])
         traj = Trajectory(grid=grid, positions=c * grid.times)
         for theta in [0.0, 1.0, -3.0]:
@@ -49,6 +50,14 @@ class TestObjective:
     def test_invalid_friction(self):
         with pytest.raises(ValueError, match="friction"):
             objective(hand_trajectory(), CONST_FORCE, -1.0, 0.0)
+
+    @pytest.mark.parametrize("friction", [0.0, -1.0, math.inf, math.nan])
+    def test_closed_form_rejects_invalid_friction(self, friction):
+        # checked where the residuals are formed, so the quadratic
+        # coefficients never divide by zero or by a non-finite friction
+        with pytest.raises(ValueError, match="friction"):
+            minimize_closed_form(hand_trajectory(), CONST_FORCE, friction,
+                                 ParameterSpace(0.0, 2.0))
 
     def test_quadratic_structure(self):
         # for linear-in-theta models a parabola through 3 points reproduces
@@ -102,7 +111,7 @@ class TestClosedForm:
             noise = make_noise_path(0, 0, grid)
             noise = type(noise)(increments=np.zeros_like(noise.increments),
                                 seed=0, stream_id=0)
-            traj = simulate_overdamped(model, theta0, p, grid, EXP, noise)
+            traj = simulate_overdamped(model, theta0, p, grid, noise)
             res = minimize_closed_form(traj, model, gamma,
                                        ParameterSpace(theta0 - 1.0, theta0 + 1.0))
             assert res.theta_hat == pytest.approx(theta0, abs=1e-10)
@@ -161,6 +170,44 @@ class TestGolden:
             minimize_golden(hand_trajectory(), CONST_FORCE, 1.0,
                             ParameterSpace(0.0, 1.0), tol=0.0)
 
+    def test_flat_objective_not_identifiable(self):
+        # zero drift: the objective does not depend on theta at all
+        traj = simulate_ou_dataset(seed=1)
+        with pytest.raises(IdentifiabilityError, match="flat"):
+            minimize_golden(traj, MODELS["zero-drift"](), 1.0,
+                            ParameterSpace(-5.0, 5.0))
+
+    def test_tol_below_double_spacing_terminates(self):
+        # the bracket cannot shrink below a few ulps; tol is floored there
+        traj = simulate_ou_dataset(seed=6)
+        space = ParameterSpace(-5.0, 5.0)
+        res = minimize_golden(traj, OU, 1.0, space, tol=1e-300)
+        cf = minimize_closed_form(traj, OU, 1.0, space)
+        assert res.evaluations < 300
+        assert res.theta_hat == pytest.approx(cf.theta_hat, abs=1e-8)
+
+    def test_default_tol_results_frozen(self):
+        # values recorded before the tol floor and the flatness check were
+        # added; neither may move a result at the default tol
+        res = minimize_golden(simulate_ou_dataset(seed=3), OU, 1.0,
+                              ParameterSpace(-5.0, 5.0))
+        assert (res.theta_hat, res.evaluations) == (1.0869672586830734, 152)
+        res = minimize_golden(hand_trajectory(), CONST_FORCE, 1.0,
+                              ParameterSpace(0.0, 2.0))
+        assert (res.theta_hat, res.evaluations) == (1.0, 149)
+
+
+class TestObjectiveCurve:
+
+    def test_generic_path_is_objective(self):
+        # the quadratic path is checked against objective by the figure1
+        # and estimate --curve tests
+        traj = simulate_ou_dataset(seed=5)
+        generic = DriftModel(name="ou-generic", eval=OU.eval)
+        thetas = np.linspace(-3.0, 3.0, 7)
+        direct = [objective(traj, generic, 1.0, t) for t in thetas]
+        assert list(objective_curve(traj, generic, 1.0, thetas)) == direct
+
 
 class TestParameterSpace:
 
@@ -206,7 +253,7 @@ class TestUniformObjectiveGap:
         # strip the decomposition to force the per-theta loop; results agree
         (coupled, model) = self.coupled_colloidal(1e-2, n=100)
         space = ParameterSpace(0.0, 0.1)
-        generic = DriftModel(name="colloidal-generic", dim=1, eval=model.eval)
+        generic = DriftModel(name="colloidal-generic", eval=model.eval)
         fast = uniform_objective_gap(coupled.underdamped, coupled.overdamped,
                                      model, 1 / 6, space, grid_points=51)
         slow = uniform_objective_gap(coupled.underdamped, coupled.overdamped,

@@ -87,6 +87,23 @@ class TestConsistencySweep:
         with pytest.raises(ValueError):
             small_sweep_config(model_id="nope")
 
+    def test_rejects_counts_wider_than_stream_fields(self):
+        # _stream_id packs the n index and the replicate into 20 bits each;
+        # wider values would give two cells the same noise stream
+        small_sweep_config(replicates=2 ** 20)
+        with pytest.raises(ValueError, match="replicates"):
+            small_sweep_config(replicates=2 ** 20 + 1)
+        with pytest.raises(ValueError, match="n_values"):
+            small_sweep_config(n_values=[2] * (2 ** 20 + 1))
+
+    def test_programming_errors_propagate(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("synthetic programming error")
+
+        monkeypatch.setattr(experiments, "simulate_underdamped", broken)
+        with pytest.raises(TypeError, match="synthetic"):
+            run_consistency_sweep(small_sweep_config())
+
 
 class TestGammaDiagnostic:
 

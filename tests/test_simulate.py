@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from skestim import (CoupledRunResult, DivergenceError, DriftModel,
-                     IntegratorSpec, MODELS, ObservationGrid, Scheme,
+                     MODELS, ObservationGrid, Scheme,
                      SystemParams, make_noise_path, simulate_coupled,
                      simulate_overdamped, simulate_underdamped)
 
-EXP = IntegratorSpec(Scheme.EXPONENTIAL_VELOCITY)
-EM = IntegratorSpec(Scheme.EULER_MARUYAMA)
+EXP = Scheme.EXPONENTIAL_VELOCITY
+EM = Scheme.EULER_MARUYAMA
 ZERO = MODELS["zero-drift"]()
 OU = MODELS["ou"]()
 
@@ -22,11 +22,11 @@ def zero_noise(grid):
 
 class TestUnderdamped:
 
-    @pytest.mark.parametrize("spec,mu", [(EXP, 1.0), (EXP, 1e-3), (EM, 1.0)])
-    def test_equilibrium(self, spec, mu):
+    @pytest.mark.parametrize("scheme,mu", [(EXP, 1.0), (EXP, 1e-3), (EM, 1.0)])
+    def test_equilibrium(self, scheme, mu):
         grid = ObservationGrid.uniform(20, 0.05, 2)
         p = SystemParams(mass=mu, friction=1.0, noise=0.0, x0=3.0, v0=0.0)
-        traj = simulate_underdamped(ZERO, 0.0, p, grid, spec, zero_noise(grid))
+        traj = simulate_underdamped(ZERO, 0.0, p, grid, scheme, zero_noise(grid))
         assert np.all(traj.positions == 3.0)
         assert np.all(traj.velocities == 0.0)
 
@@ -100,11 +100,10 @@ class TestOverdamped:
     def test_constant_drift_exact(self):
         # b = gamma * c makes Euler exact: x(t_k) = x0 + c * t_k
         gamma, c = 2.0, 0.7
-        model = DriftModel(name="const", dim=1,
-                           eval=lambda x, theta: gamma * c)
+        model = DriftModel(name="const", eval=lambda x, theta: gamma * c)
         grid = ObservationGrid([0.0, 0.125, 0.25, 1.0], 2)
         p = SystemParams(mass=1.0, friction=gamma, noise=0.0, x0=1.5)
-        traj = simulate_overdamped(model, 0.0, p, grid, EXP, zero_noise(grid))
+        traj = simulate_overdamped(model, 0.0, p, grid, zero_noise(grid))
         assert np.allclose(traj.positions, 1.5 + c * grid.times, atol=1e-14)
         assert traj.velocities is None
 
@@ -114,7 +113,7 @@ class TestOverdamped:
         errs = []
         for substeps in [1, 10, 100]:
             grid = ObservationGrid.uniform(10, 0.1, substeps)
-            traj = simulate_overdamped(OU, 1.0, p, grid, EXP, zero_noise(grid))
+            traj = simulate_overdamped(OU, 1.0, p, grid, zero_noise(grid))
             errs.append(abs(traj.positions[-1] - math.exp(-1.0)))
         assert errs[0] > errs[1] > errs[2]
         # first-order Euler: error ~ (substep/2) e^-1 = 1.8e-4 at substep 1e-3
@@ -125,7 +124,7 @@ class TestOverdamped:
         grid = ObservationGrid.uniform(10, 0.1, 5)
         p = SystemParams(mass=1.0, friction=1.0, noise=1.0, x0=1.0)
         finals = np.array([
-            simulate_overdamped(OU, 1.0, p, grid, EXP,
+            simulate_overdamped(OU, 1.0, p, grid,
                                 make_noise_path(2024, rep, grid)).positions[-1]
             for rep in range(10_000)])
         exact = math.exp(-1.0)
@@ -142,7 +141,7 @@ class TestOverdamped:
         for substeps in [1, 2, 4]:
             grid = ObservationGrid.uniform(4, 0.25, substeps)
             mean = np.mean([
-                simulate_overdamped(OU, theta, p, grid, EXP,
+                simulate_overdamped(OU, theta, p, grid,
                                     make_noise_path(77, rep, grid)).positions[-1]
                 for rep in range(reps)])
             errors.append(abs(mean - exact))
@@ -150,11 +149,11 @@ class TestOverdamped:
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_divergence_reports_substep(self):
-        cubic = DriftModel(name="cubic", dim=1, eval=lambda x, theta: x * x * x)
+        cubic = DriftModel(name="cubic", eval=lambda x, theta: x * x * x)
         grid = ObservationGrid.uniform(50, 1.0, 1)
         p = SystemParams(mass=1.0, friction=1.0, noise=0.0, x0=3.0)
         with pytest.raises(DivergenceError, match="substep"):
-            simulate_overdamped(cubic, 0.0, p, grid, EXP, zero_noise(grid))
+            simulate_overdamped(cubic, 0.0, p, grid, zero_noise(grid))
 
 
 class TestCoupled:
