@@ -39,8 +39,17 @@ def _add_common_model_args(p):
     p.add_argument("--gamma", type=float, required=True, help="friction coefficient")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, like other configuration errors; argparse's own
+    code 2 is the documented code for a divergence."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="skestim",
         description="Langevin simulation and least-squares drift estimation")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -44,10 +44,13 @@ class EstimationResult:
 
 
 def _residual_parts(traj: Trajectory, friction: float):
-    if not (friction > 0 and math.isfinite(friction)):
-        raise ValueError(f"friction must be finite and > 0, got {friction}")
     x = traj.positions
     dts = traj.grid.dts
+    # a subnormal friction passes the first two tests but overflows dt / friction
+    if not (friction > 0 and math.isfinite(friction)
+            and math.isfinite(float(dts.max()) / friction)):
+        raise ValueError(
+            f"friction must be finite and > 0 with dt / friction finite, got {friction}")
     d = x[1:] - x[:-1]
     return x[:-1], d, dts, dts / friction
 
@@ -118,7 +121,12 @@ def minimize_golden(traj: Trajectory, model: DriftModel, friction: float,
         raise ValueError("tol must be > 0")
 
     def f(theta):
-        return objective(traj, model, friction, theta)
+        value = objective(traj, model, friction, theta)
+        if not math.isfinite(value):
+            raise ValueError(
+                f"objective is {value:g} at theta={theta:g}: golden section cannot "
+                f"compare it; narrow the interval [{space.lo:g}, {space.hi:g}]")
+        return value
 
     thetas = np.linspace(space.lo, space.hi, scan_points)
     values = [f(t) for t in thetas]

@@ -13,8 +13,12 @@ import numpy as np
 from .core import ConfigError, ObservationGrid, Trajectory
 
 
+_SPEC = ".17g"
+_CHUNK_ROWS = 8192  # rows converted to Python floats at a time
+
+
 def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+    return format(float(x), _SPEC)
 
 
 def atomic_write_text(path: str, text: str):
@@ -32,13 +36,14 @@ def atomic_write_text(path: str, text: str):
 
 def write_trajectory_csv(path: str, traj: Trajectory):
     """Header t,x (plus v for underdamped runs), one row per grid point."""
-    has_v = traj.velocities is not None
-    lines = ["t,x,v" if has_v else "t,x"]
-    for k in range(len(traj.grid)):
-        row = [_fmt(traj.times[k]), _fmt(traj.positions[k])]
-        if has_v:
-            row.append(_fmt(traj.velocities[k]))
-        lines.append(",".join(row))
+    columns = [traj.times, traj.positions]
+    if traj.velocities is not None:
+        columns.append(traj.velocities)
+    lines = ["t,x,v" if len(columns) == 3 else "t,x"]
+    row = ",".join(["%" + _SPEC] * len(columns))
+    for start in range(0, len(traj.grid), _CHUNK_ROWS):
+        chunk = [c[start:start + _CHUNK_ROWS].tolist() for c in columns]
+        lines += [row % values for values in zip(*chunk)]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

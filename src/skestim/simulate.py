@@ -68,7 +68,7 @@ def simulate_underdamped(model: DriftModel, theta: float, params: SystemParams,
     velocities = [v]
     idx = 0
     for k in range(n):
-        h = dts[k] / s
+        h = float(dts[k]) / s
         if euler:
             if not h < mu / (2.0 * gamma):
                 raise ValueError(
@@ -77,23 +77,23 @@ def simulate_underdamped(model: DriftModel, theta: float, params: SystemParams,
             cb = h / mu
             cg = gamma * h / mu
             cs = sigma / mu
-            for _ in range(s):
-                dw = inc[idx]
+            for dw in inc[idx:idx + s]:
                 b = feval(x, theta)
                 x, v = x + v * h, v + b * cb - v * cg + cs * dw
-                idx += 1
         else:
             a = math.exp(-gamma * h / mu)
-            relax = (mu / gamma) * (1.0 - a)  # integral of the decay over one substep
+            one_a = 1.0 - a
+            relax = (mu / gamma) * one_a  # integral of the decay over one substep
             tail = h - relax
-            inv_sg = sigma / (gamma * h)
+            # a friction so small that gamma*h underflows divides as numpy
+            # does (inf, or nan for sigma=0) so the divergence check reports it
+            inv_sg = sigma / (gamma * h) if gamma * h else sigma * math.inf
             inv_g = 1.0 / gamma
-            for _ in range(s):
-                dw = inc[idx]
+            for dw in inc[idx:idx + s]:
                 f = feval(x, theta) * inv_g + inv_sg * dw
                 x = x + relax * v + tail * f
-                v = a * v + (1.0 - a) * f
-                idx += 1
+                v = a * v + one_a * f
+        idx += s
         if not (math.isfinite(x) and math.isfinite(v)):
             raise DivergenceError(
                 f"underdamped run diverged at substep {idx} (t ~ {grid.times[k + 1]:g}): "
@@ -119,12 +119,12 @@ def simulate_overdamped(model: DriftModel, theta: float, params: SystemParams,
     positions = [x]
     idx = 0
     for k in range(grid.n_intervals):
-        h = dts[k] / s
+        h = float(dts[k]) / s
         cb = h / gamma
         cs = sigma / gamma
-        for _ in range(s):
-            x = x + feval(x, theta) * cb + cs * inc[idx]
-            idx += 1
+        for dw in inc[idx:idx + s]:
+            x = x + feval(x, theta) * cb + cs * dw
+        idx += s
         if not math.isfinite(x):
             raise DivergenceError(
                 f"overdamped run diverged at substep {idx} "

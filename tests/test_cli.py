@@ -166,6 +166,52 @@ class TestEstimateCommand:
         assert "flat" in proc.stderr
         assert "theta_hat" not in proc.stdout
 
+    def make_three_rows(self, tmp_path):
+        (tmp_path / "three.csv").write_text("t,x\n0,1\n1,2\n2,1.5\n")
+
+    def test_golden_non_finite_objective_exits_1(self, tmp_path):
+        self.make_three_rows(tmp_path)
+        proc = run_cli(["estimate", "--traj", "three.csv", "--model", "ou",
+                        "--gamma", "1", "--theta-lo=-1e300", "--theta-hi=1e300",
+                        "--method", "golden"], cwd=tmp_path)
+        assert proc.returncode == 1
+        assert "[-1e+300, 1e+300]" in proc.stderr
+        assert "theta_hat" not in proc.stdout
+
+    def test_subnormal_friction_exits_1(self, tmp_path):
+        self.make_three_rows(tmp_path)
+        proc = run_cli(["estimate", "--traj", "three.csv", "--model", "ou",
+                        "--gamma", "1e-320", "--theta-lo", "0", "--theta-hi", "1"],
+                       cwd=tmp_path)
+        assert proc.returncode == 1
+        assert "friction" in proc.stderr
+        assert "Warning" not in proc.stderr
+
+
+class TestUsageErrors:
+    """argparse's own exit code 2 would read as a divergence."""
+
+    def test_unknown_command_exits_1(self, tmp_path):
+        proc = run_cli(["nope"], cwd=tmp_path)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("usage: skestim")
+        assert "invalid choice: 'nope'" in proc.stderr
+
+    def test_option_missing_its_value_exits_1(self, tmp_path):
+        # argparse reads -1e300 as an option, so --theta-lo has no value
+        proc = run_cli(["estimate", "--traj", "t.csv", "--model", "ou",
+                        "--gamma", "1", "--theta-lo", "-1e300", "--theta-hi", "1"],
+                       cwd=tmp_path)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("usage: skestim estimate")
+        assert "--theta-lo: expected one argument" in proc.stderr
+
+    def test_help_exits_0(self, tmp_path):
+        proc = run_cli(["--help"], cwd=tmp_path)
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("usage: skestim")
+        assert proc.stderr == ""
+
 
 SWEEP_CFG = """\
 model = ou

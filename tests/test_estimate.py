@@ -51,7 +51,7 @@ class TestObjective:
         with pytest.raises(ValueError, match="friction"):
             objective(hand_trajectory(), CONST_FORCE, -1.0, 0.0)
 
-    @pytest.mark.parametrize("friction", [0.0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("friction", [0.0, -1.0, math.inf, math.nan, 1e-320])
     def test_closed_form_rejects_invalid_friction(self, friction):
         # checked where the residuals are formed, so the quadratic
         # coefficients never divide by zero or by a non-finite friction
@@ -176,6 +176,14 @@ class TestGolden:
         with pytest.raises(IdentifiabilityError, match="flat"):
             minimize_golden(traj, MODELS["zero-drift"](), 1.0,
                             ParameterSpace(-5.0, 5.0))
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_non_finite_objective_raises(self):
+        # theta^2 sum(b1^2 dt) overflows over most of this interval, and
+        # comparing inf values would pick an arbitrary theta
+        traj = simulate_ou_dataset(seed=2)
+        with pytest.raises(ValueError, match=r"\[-1e\+300, 1e\+300\]"):
+            minimize_golden(traj, OU, 1.0, ParameterSpace(-1e300, 1e300))
 
     def test_tol_below_double_spacing_terminates(self):
         # the bracket cannot shrink below a few ulps; tol is floored there

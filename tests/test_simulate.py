@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -86,6 +87,15 @@ class TestUnderdamped:
         p = SystemParams(mass=1.0, friction=1.0, noise=1.0, x0=0.0, v0=0.0)
         traj = simulate_underdamped(OU, 1.0, p, grid, EXP, make_noise_path(1, 0, grid))
         assert traj.times is grid.times
+
+    @pytest.mark.parametrize("sigma", [0.0, 1.0])
+    def test_friction_underflowing_the_substep_diverges(self, sigma):
+        # gamma * h underflows to 0: the run must stop at the divergence
+        # check, as with numpy-scalar arithmetic, not on a ZeroDivisionError
+        grid = ObservationGrid.uniform(5, 0.01, 10)
+        p = SystemParams(mass=1.0, friction=1e-321, noise=sigma, x0=1.0, v0=0.0)
+        with pytest.raises(DivergenceError, match="substep 10 "):
+            simulate_underdamped(OU, 1.0, p, grid, EXP, make_noise_path(1, 0, grid))
 
     def test_noise_length_mismatch(self):
         grid = ObservationGrid.uniform(10, 0.1, 2)
@@ -190,3 +200,56 @@ class TestCoupled:
         b = simulate_coupled(model, 0.02, p, grid, EXP, make_noise_path(6, 0, grid))
         assert a.sup_distance == b.sup_distance
         assert np.array_equal(a.underdamped.positions, b.underdamped.positions)
+
+
+# SHA-256 of the positions (then velocities) bytes of 200-interval paths,
+# recorded before the integrator loops ran on Python floats. A kernel change
+# that moves any float of any scheme fails here and must say so.
+FROZEN_DIGESTS = {
+    ("colloidal", 1, "exponential-velocity"):
+        "e7f2abcac09e8d0c9aff681de049d04efe5ab4cadd34eec7bf36a94d32894ad4",
+    ("colloidal", 1, "euler-maruyama"):
+        "f6cad3bb46ec4c2e9318b487ea8d1d166313ee5070b7c0e88b40e77000f4bd4a",
+    ("colloidal", 1, "overdamped"):
+        "3f6d4c2a2d637347b40a931464f53100cbb0a0c60cfa02ea95f222461de1260b",
+    ("colloidal", 10, "exponential-velocity"):
+        "e26d7d7a69f039cd01c4177ce7435e5a5ec5dfc75dcf218dbbe328a772b5f6a8",
+    ("colloidal", 10, "euler-maruyama"):
+        "363357e537ff2d5bc8c10922843dc9f5401d5af255d7c79f30dc212dcb9f9c0b",
+    ("colloidal", 10, "overdamped"):
+        "9c84b95ac453f704be862cddc5931f84c5ef409108b3971dfb45489d06a00008",
+    ("ou", 1, "exponential-velocity"):
+        "a4c76eabf60386a9757416db916167fd47b310e832b415d25ee4c4c4d3227249",
+    ("ou", 1, "euler-maruyama"):
+        "c5e70e2276195ee2edf70848f99318ac06130f6b4bce22433c1b4504825c8ebb",
+    ("ou", 1, "overdamped"):
+        "4538bb4a7e3362e42839875fdd0717e5dfa1efcad9432b8f50990e01d8c1d98f",
+    ("ou", 10, "exponential-velocity"):
+        "e2010bb4fc261384093919d17b1a8ae7ad03650d12b9d9b076968762b2a82046",
+    ("ou", 10, "euler-maruyama"):
+        "e27e71f6c00c9b715aeab7b02e3aa14c1a72c5582aef4095182df5a8fc25ddbf",
+    ("ou", 10, "overdamped"):
+        "1f2448c5d5007484f715c999689f271b44464350953f29ae53501f0b0760dcb2",
+}
+# friction, noise, theta and x0 per model
+FROZEN_PARAMS = {"colloidal": (1 / 6, 10.0, 0.02, 0.5), "ou": (1.0, 1.0, 1.0, 1.0)}
+
+
+@pytest.mark.parametrize("model_id,substeps,scheme", sorted(FROZEN_DIGESTS))
+def test_frozen_outputs(model_id, substeps, scheme):
+    gamma, sigma, theta, x0 = FROZEN_PARAMS[model_id]
+    model = MODELS[model_id]()
+    grid = ObservationGrid.uniform(200, 0.01, substeps)
+    noise = make_noise_path(13, substeps, grid)
+    if scheme == "overdamped":
+        p = SystemParams(mass=1.0, friction=gamma, noise=sigma, x0=x0)
+        traj = simulate_overdamped(model, theta, p, grid, noise)
+    else:
+        # Euler at a mass its stability guard admits at one substep
+        mu = 1e-3 if scheme == EXP.value else 0.1
+        p = SystemParams(mass=mu, friction=gamma, noise=sigma, x0=x0, v0=0.0)
+        traj = simulate_underdamped(model, theta, p, grid, Scheme(scheme), noise)
+    digest = hashlib.sha256(traj.positions.astype("<f8").tobytes())
+    if traj.velocities is not None:
+        digest.update(traj.velocities.astype("<f8").tobytes())
+    assert digest.hexdigest() == FROZEN_DIGESTS[model_id, substeps, scheme]
