@@ -13,7 +13,6 @@ from .core import (
     SystemParams,
     Trajectory,
     colloidal_model,
-    eval_drift,
     make_noise_path,
     ou_model,
     zero_drift_model,

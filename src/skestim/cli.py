@@ -75,7 +75,7 @@ def _build_parser():
     p.add_argument("--traj", required=True, help="trajectory CSV (t,x[,v])")
     p.add_argument("--theta-lo", type=float, required=True)
     p.add_argument("--theta-hi", type=float, required=True)
-    p.add_argument("--method", choices=["auto", "closed-form", "golden"], default="auto")
+    p.add_argument("--method", choices=["closed-form", "golden"], default="closed-form")
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--curve", default=None, help="optional objective-curve CSV output")
     p.add_argument("--curve-points", type=int, default=401)
@@ -129,10 +129,7 @@ def _cmd_estimate(args) -> int:
     traj = io.read_trajectory_csv(args.traj)
     model = MODELS[args.model]()
     space = ParameterSpace(args.theta_lo, args.theta_hi)
-    method = args.method
-    if method == "auto":
-        method = "closed-form" if model.linear_decomposition is not None else "golden"
-    if method == "closed-form":
+    if args.method == "closed-form":
         result = minimize_closed_form(traj, model, args.gamma, space)
     else:
         result = minimize_golden(traj, model, args.gamma, space, tol=args.tol)

@@ -1,14 +1,15 @@
 """Domain types shared by the simulators, the estimator and the experiment drivers.
 
 All types are plain immutable dataclasses; the particle is one-dimensional
-and its state is a python float. Model evaluation functions also accept a
-numpy array of positions, so the estimator can evaluate a whole trajectory
-in one call.
+and its state is a python float. Each drift model gives its position
+dependence twice: on a numpy array of positions, so the estimator can
+evaluate a whole trajectory in one call, and on a python float for the
+integrators.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -35,32 +36,25 @@ G_EFF = (4.0 / 3.0) * math.pi * (1.31 / 2.0) ** 2 * 0.51 * 9.8e-3
 
 @dataclass(frozen=True)
 class DriftModel:
-    """A drift field b(x, theta).
+    """A drift field linear in theta: b(x, theta) = theta * b1(x) + b0.
 
     Parameters
     ----------
     name : str
         Identifier used by the CLI model registry.
-    eval : callable
-        (x, theta) -> drift, for a float x or an array of positions.
-    linear_decomposition : (callable, callable) or None
-        Pair (b1, b0) with b(x, theta) = theta * b1(x) + b0(x), when the
-        model is linear in theta. Enables the closed-form minimizer.
+    b1 : callable
+        Position dependence, on a numpy array of positions (the estimator).
+        A position-independent b1 may return a float; callers broadcast it.
+    b1_scalar : callable
+        The same function on a python float (the integrators).
+    b0 : float
+        The theta-independent part of the drift.
     """
 
     name: str
-    eval: Callable
-    linear_decomposition: Optional[Tuple[Callable, Callable]] = None
-
-
-def eval_drift(model: DriftModel, x, theta: float):
-    """Evaluate b(x, theta), raising if the model returns a non-finite value."""
-    b = model.eval(x, theta)
-    if not np.all(np.isfinite(b)):
-        raise ValueError(
-            f"model {model.name!r} returned non-finite drift at x={x!r}, theta={theta!r}"
-        )
-    return b
+    b1: Callable
+    b1_scalar: Callable
+    b0: float
 
 
 def colloidal_model() -> DriftModel:
@@ -72,67 +66,42 @@ def colloidal_model() -> DriftModel:
     inv_debye = 1.0 / DEBYE_LENGTH_NM
 
     def b1(x):
-        return np.exp(-inv_debye * np.asarray(x, dtype=float))
+        return np.exp(-inv_debye * x)
 
-    def b0(x):
-        return np.full_like(np.asarray(x, dtype=float), -G_EFF)
+    def b1_scalar(x):
+        z = -inv_debye * x
+        # saturate instead of raising OverflowError so the integrator's
+        # divergence check reports the offending substep
+        return math.exp(z) if z < 709.0 else math.inf
 
-    def force(x, theta):
-        if isinstance(x, float):
-            z = -inv_debye * x
-            # saturate instead of raising OverflowError so the integrator's
-            # divergence check reports the offending substep
-            return theta * (math.exp(z) if z < 709.0 else math.inf) - G_EFF
-        return theta * np.exp(-inv_debye * np.asarray(x, dtype=float)) - G_EFF
-
-    return DriftModel(name="colloidal", eval=force,
-                      linear_decomposition=(b1, b0))
+    return DriftModel("colloidal", b1, b1_scalar, -G_EFF)
 
 
 def ou_model() -> DriftModel:
     """Mean-reverting test model b(x, theta) = -theta * x."""
 
     def b1(x):
-        return -np.asarray(x, dtype=float)
+        return -x
 
-    def b0(x):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
-    def drift(x, theta):
-        if isinstance(x, float):
-            return -theta * x
-        return -theta * np.asarray(x, dtype=float)
-
-    return DriftModel(name="ou", eval=drift, linear_decomposition=(b1, b0))
+    return DriftModel("ou", b1, b1, 0.0)
 
 
 def zero_drift_model() -> DriftModel:
     """b(x, theta) = 0; pure noise / free relaxation runs."""
 
-    def drift(x, theta):
-        if isinstance(x, float):
-            return 0.0
-        return np.zeros_like(np.asarray(x, dtype=float))
+    def b1(x):
+        return 0.0
 
-    return DriftModel(name="zero-drift", eval=drift)
+    return DriftModel("zero-drift", b1, b1, 0.0)
 
 
 def constant_force_model() -> DriftModel:
     """b(x, theta) = theta, independent of position."""
 
     def b1(x):
-        return np.ones_like(np.asarray(x, dtype=float))
+        return 1.0
 
-    def b0(x):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
-    def drift(x, theta):
-        if isinstance(x, float):
-            return theta
-        return np.full_like(np.asarray(x, dtype=float), theta)
-
-    return DriftModel(name="constant-force", eval=drift,
-                      linear_decomposition=(b1, b0))
+    return DriftModel("constant-force", b1, b1, 0.0)
 
 
 MODELS = {

@@ -4,10 +4,10 @@ The objective on observations x(t_0), ..., x(t_n) is
 
     F(theta) = sum_k || x(t_k) - x(t_{k-1}) - (1/gamma) b(x(t_{k-1}), theta) dt_k ||^2 / dt_k
 
-and the estimator is its minimizer over a compact interval. For models that
-are linear in theta the objective is an explicit quadratic, so the minimizer
-is closed-form; otherwise a coarse grid scan followed by golden-section
-search is used.
+and the estimator is its minimizer over a compact interval. Every drift
+model is linear in theta, b = theta * b1(x) + b0, so the objective is an
+explicit quadratic and the minimizer is closed-form. A coarse grid scan
+followed by golden-section search is kept as a derivative-free reference.
 """
 
 import math
@@ -61,20 +61,16 @@ def objective(traj: Trajectory, model: DriftModel, friction: float,
     if len(traj.grid) < 2:
         raise ValueError("objective needs at least two observation points")
     xprev, d, dts, scale = _residual_parts(traj, friction)
-    r = d - scale * model.eval(xprev, theta)
+    r = d - scale * (theta * model.b1(xprev) + model.b0)
     return float(np.sum(r * r / dts))
 
 
 def quadratic_coefficients(traj: Trajectory, model: DriftModel,
                            friction: float):
-    """Coefficients (A, B, C) with F(theta) = A theta^2 + B theta + C, for
-    models exposing a linear-in-theta decomposition."""
-    if model.linear_decomposition is None:
-        raise ValueError(f"model {model.name!r} has no linear decomposition")
-    b1, b0 = model.linear_decomposition
+    """Coefficients (A, B, C) with F(theta) = A theta^2 + B theta + C."""
     xprev, d, dts, scale = _residual_parts(traj, friction)
-    u = d - scale * b0(xprev)
-    w = scale * b1(xprev)
+    u = d - scale * model.b0
+    w = scale * model.b1(xprev)
     a = float(np.sum(w * w / dts))
     b = -2.0 * float(np.sum(u * w / dts))
     c = float(np.sum(u * u / dts))
@@ -83,18 +79,15 @@ def quadratic_coefficients(traj: Trajectory, model: DriftModel,
 
 def objective_curve(traj: Trajectory, model: DriftModel, friction: float,
                     thetas: np.ndarray) -> np.ndarray:
-    """The objective at every theta of a grid: from the quadratic
-    coefficients for linear-in-theta models, one pass per theta otherwise."""
-    if model.linear_decomposition is not None:
-        a, b, c = quadratic_coefficients(traj, model, friction)
-        return (a * thetas + b) * thetas + c
-    return np.array([objective(traj, model, friction, t) for t in thetas])
+    """The objective at every theta of a grid, from the quadratic
+    coefficients."""
+    a, b, c = quadratic_coefficients(traj, model, friction)
+    return (a * thetas + b) * thetas + c
 
 
 def minimize_closed_form(traj: Trajectory, model: DriftModel, friction: float,
                          space: ParameterSpace) -> EstimationResult:
-    """Exact quadratic vertex for linear-in-theta models, clipped to the
-    parameter space."""
+    """Exact quadratic vertex, clipped to the parameter space."""
     a, b, _ = quadratic_coefficients(traj, model, friction)
     if not a > 0 or not math.isfinite(a):
         raise IdentifiabilityError(
@@ -121,7 +114,9 @@ def minimize_golden(traj: Trajectory, model: DriftModel, friction: float,
         raise ValueError("tol must be > 0")
 
     def f(theta):
-        value = objective(traj, model, friction, theta)
+        # an overflowing objective is reported below, not as a numpy warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = objective(traj, model, friction, theta)
         if not math.isfinite(value):
             raise ValueError(
                 f"objective is {value:g} at theta={theta:g}: golden section cannot "
@@ -193,13 +188,7 @@ def uniform_objective_gap(traj_under: Trajectory, traj_over: Trajectory,
     if traj_under.grid != traj_over.grid:
         raise ValueError("uniform_objective_gap requires trajectories on the same grid")
     thetas = np.linspace(space.lo, space.hi, grid_points)
-    if model.linear_decomposition is not None:
-        au, bu, cu = quadratic_coefficients(traj_under, model, friction)
-        ao, bo, co = quadratic_coefficients(traj_over, model, friction)
-        diff = ((au - ao) * thetas + (bu - bo)) * thetas + (cu - co)
-        return float(np.max(np.abs(diff)))
-    gap = 0.0
-    for t in thetas:
-        gap = max(gap, abs(objective(traj_under, model, friction, t)
-                           - objective(traj_over, model, friction, t)))
-    return gap
+    au, bu, cu = quadratic_coefficients(traj_under, model, friction)
+    ao, bo, co = quadratic_coefficients(traj_over, model, friction)
+    diff = ((au - ao) * thetas + (bu - bo)) * thetas + (cu - co)
+    return float(np.max(np.abs(diff)))

@@ -12,10 +12,9 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .core import (DriftModel, MODELS, ObservationGrid, SystemParams,
-                   Trajectory, make_noise_path)
-from .estimate import (EstimationResult, ParameterSpace, minimize_closed_form,
-                       minimize_golden, objective_curve, uniform_objective_gap)
+from .core import MODELS, ObservationGrid, SystemParams, make_noise_path
+from .estimate import (ParameterSpace, minimize_closed_form, objective_curve,
+                       uniform_objective_gap)
 from .simulate import Scheme, simulate_coupled, simulate_underdamped
 
 # Figure defaults for the colloidal reproduction: gamma = 1/6, sigma = 10,
@@ -89,13 +88,6 @@ def _stream_id(i_mu: int, i_n: int, replicate: int) -> int:
     return (i_mu << 40) | (i_n << 20) | replicate
 
 
-def _estimate(traj: Trajectory, model: DriftModel, gamma: float,
-              space: ParameterSpace) -> EstimationResult:
-    if model.linear_decomposition is not None:
-        return minimize_closed_form(traj, model, gamma, space)
-    return minimize_golden(traj, model, gamma, space)
-
-
 def run_figure1(seed: int, n: int = FIGURE1_N, dt: float = FIGURE1_DT,
                 substeps: int = FIGURE1_SUBSTEPS,
                 curve_points: int = 401):
@@ -147,7 +139,8 @@ def run_consistency_sweep(cfg: SweepConfig) -> SweepResult:
                     else:
                         traj = simulate_underdamped(model, cfg.theta_true,
                                                     params, grid, scheme, noise)
-                    result = _estimate(traj, model, cfg.gamma, cfg.space)
+                    result = minimize_closed_form(traj, model, cfg.gamma,
+                                                  cfg.space)
                     rows.append(SweepRow(
                         mu=mu, n=n, replicate=rep,
                         theta_hat=result.theta_hat,

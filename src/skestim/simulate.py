@@ -41,11 +41,19 @@ class CoupledRunResult:
     sup_distance: float
 
 
-def _check_inputs(grid: ObservationGrid, noise: NoisePath):
+def _check_inputs(grid: ObservationGrid, noise: NoisePath, friction: float):
     if len(noise.increments) != grid.total_substeps:
         raise ValueError(
             f"noise path has {len(noise.increments)} increments, "
             f"grid needs {grid.total_substeps}")
+    # a subnormal friction passes SystemParams but its products with the
+    # substep width underflow or overflow inside the integrators
+    s = grid.substeps_per_interval
+    if not (friction * (float(grid.dts.min()) / s) > 0
+            and math.isfinite((float(grid.dts.max()) / s) / friction)):
+        raise ValueError(
+            f"friction must be > 0 with friction * substep > 0 and "
+            f"substep / friction finite, got {friction}")
 
 
 def simulate_underdamped(model: DriftModel, theta: float, params: SystemParams,
@@ -53,11 +61,11 @@ def simulate_underdamped(model: DriftModel, theta: float, params: SystemParams,
                          noise: NoisePath) -> Trajectory:
     """Integrate the underdamped system; returns positions and velocities at
     the observation times (internal substeps are discarded)."""
-    _check_inputs(grid, noise)
+    _check_inputs(grid, noise, params.friction)
     mu, gamma, sigma = params.mass, params.friction, params.noise
     x = float(params.x0)
     v = float(params.v0)
-    feval = model.eval
+    b1, b0 = model.b1_scalar, model.b0
     s = grid.substeps_per_interval
     dts = grid.dts
     inc = noise.increments.tolist()
@@ -78,19 +86,17 @@ def simulate_underdamped(model: DriftModel, theta: float, params: SystemParams,
             cg = gamma * h / mu
             cs = sigma / mu
             for dw in inc[idx:idx + s]:
-                b = feval(x, theta)
+                b = theta * b1(x) + b0
                 x, v = x + v * h, v + b * cb - v * cg + cs * dw
         else:
             a = math.exp(-gamma * h / mu)
             one_a = 1.0 - a
             relax = (mu / gamma) * one_a  # integral of the decay over one substep
             tail = h - relax
-            # a friction so small that gamma*h underflows divides as numpy
-            # does (inf, or nan for sigma=0) so the divergence check reports it
-            inv_sg = sigma / (gamma * h) if gamma * h else sigma * math.inf
+            inv_sg = sigma / (gamma * h)
             inv_g = 1.0 / gamma
             for dw in inc[idx:idx + s]:
-                f = feval(x, theta) * inv_g + inv_sg * dw
+                f = (theta * b1(x) + b0) * inv_g + inv_sg * dw
                 x = x + relax * v + tail * f
                 v = a * v + one_a * f
         idx += s
@@ -108,10 +114,10 @@ def simulate_underdamped(model: DriftModel, theta: float, params: SystemParams,
 def simulate_overdamped(model: DriftModel, theta: float, params: SystemParams,
                         grid: ObservationGrid, noise: NoisePath) -> Trajectory:
     """Euler-Maruyama integration of the overdamped limit; velocities absent."""
-    _check_inputs(grid, noise)
+    _check_inputs(grid, noise, params.friction)
     gamma, sigma = params.friction, params.noise
     x = float(params.x0)
-    feval = model.eval
+    b1, b0 = model.b1_scalar, model.b0
     s = grid.substeps_per_interval
     dts = grid.dts
     inc = noise.increments.tolist()
@@ -123,7 +129,7 @@ def simulate_overdamped(model: DriftModel, theta: float, params: SystemParams,
         cb = h / gamma
         cs = sigma / gamma
         for dw in inc[idx:idx + s]:
-            x = x + feval(x, theta) * cb + cs * dw
+            x = x + (theta * b1(x) + b0) * cb + cs * dw
         idx += s
         if not math.isfinite(x):
             raise DivergenceError(

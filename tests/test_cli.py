@@ -83,6 +83,18 @@ class TestSimulateCommand:
         assert proc.returncode == 2
         assert "diverged" in proc.stderr
 
+    @pytest.mark.parametrize("mode", ["underdamped", "overdamped"])
+    def test_subnormal_friction_exits_1(self, tmp_path, mode):
+        # friction * substep is positive but substep / friction overflows:
+        # a parameter error, not a divergence of the run
+        proc = run_cli(["simulate", "--model", "ou", "--mode", mode, "--mu", "1",
+                        "--gamma", "1e-320", "--sigma", "1", "--theta", "1",
+                        "--n", "10", "--dt", "0.01", "--substeps", "10",
+                        "--seed", "1", "--out", "x.csv"], cwd=tmp_path)
+        assert proc.returncode == 1
+        assert "friction" in proc.stderr
+        assert not (tmp_path / "x.csv").exists()
+
     def test_env_var_output_dir(self, tmp_path):
         outdir = tmp_path / "results"
         outdir.mkdir()
@@ -166,6 +178,17 @@ class TestEstimateCommand:
         assert "flat" in proc.stderr
         assert "theta_hat" not in proc.stdout
 
+    @pytest.mark.parametrize("method", [[], ["--method", "closed-form"]])
+    def test_zero_drift_closed_form_exits_3(self, tmp_path, method):
+        # zero drift is theta * 0 + 0: the closed form finds sum b1^2 dt = 0
+        self.make_hand_case(tmp_path)
+        proc = run_cli(["estimate", "--traj", "hand.csv", "--model", "zero-drift",
+                        "--gamma", "1", "--theta-lo", "-5", "--theta-hi", "5"]
+                       + method, cwd=tmp_path)
+        assert proc.returncode == 3
+        assert "sum of ||b1||^2 dt is 0" in proc.stderr
+        assert "theta_hat" not in proc.stdout
+
     def make_three_rows(self, tmp_path):
         (tmp_path / "three.csv").write_text("t,x\n0,1\n1,2\n2,1.5\n")
 
@@ -176,6 +199,7 @@ class TestEstimateCommand:
                         "--method", "golden"], cwd=tmp_path)
         assert proc.returncode == 1
         assert "[-1e+300, 1e+300]" in proc.stderr
+        assert "Warning" not in proc.stderr
         assert "theta_hat" not in proc.stdout
 
     def test_subnormal_friction_exits_1(self, tmp_path):

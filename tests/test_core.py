@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from skestim import (DriftModel, G_EFF, MODELS, ObservationGrid, SystemParams,
-                     Trajectory, colloidal_model, eval_drift, make_noise_path,
-                     ou_model)
+from skestim import (G_EFF, MODELS, ObservationGrid, SystemParams, Trajectory,
+                     colloidal_model, make_noise_path, ou_model)
 
 # g_eff recomputed independently from the printed constant expression
 G_EFF_ORACLE = 4.0 / 3.0 * math.pi * (1.31 / 2.0) ** 2 * 0.51 * 9.8e-3
@@ -84,52 +83,43 @@ class TestColloidalModel:
     def test_force_at_wall(self):
         model = colloidal_model()
         for theta in [0.0, 0.02, 1.7]:
-            assert eval_drift(model, 0.0, theta) == pytest.approx(theta - G_EFF_ORACLE)
+            assert theta * model.b1_scalar(0.0) + model.b0 == pytest.approx(
+                theta - G_EFF_ORACLE)
 
     def test_force_at_debye_length(self):
         # x = 18 nm, one Debye length: the exponential term decays by 1/e
         model = colloidal_model()
         theta = 0.02
-        assert eval_drift(model, 18.0, theta) == pytest.approx(
+        assert theta * model.b1_scalar(18.0) + model.b0 == pytest.approx(
             theta / math.e - G_EFF_ORACLE, rel=1e-14)
 
     def test_monotone_in_theta(self):
         model = colloidal_model()
         xs = np.linspace(0.0, 200.0, 50)
-        f_lo = model.eval(xs, 0.01)
-        f_hi = model.eval(xs, 0.02)
+        f_lo = 0.01 * model.b1(xs) + model.b0
+        f_hi = 0.02 * model.b1(xs) + model.b0
         assert np.all(f_lo < f_hi)
 
     def test_vectorized_matches_scalar(self):
         model = colloidal_model()
         xs = np.array([0.0, 5.0, 18.0, 100.0])
-        vec = model.eval(xs, 0.02)
-        assert np.allclose(vec, [model.eval(float(x), 0.02) for x in xs], rtol=1e-15)
+        vec = model.b1(xs)
+        assert np.allclose(vec, [model.b1_scalar(float(x)) for x in xs], rtol=1e-15)
 
 
 def test_ou_model_by_definition():
-    assert eval_drift(ou_model(), 2.0, 3.0) == -6.0
+    model = ou_model()
+    assert 3.0 * model.b1_scalar(2.0) + model.b0 == -6.0
 
 
-@pytest.mark.parametrize("name", sorted(set(MODELS) - {"zero-drift"}))
+@pytest.mark.parametrize("name", sorted(MODELS))
 def test_linear_decomposition_consistency(name):
-    # eval(x, theta) == theta*b1(x) + b0(x) over 1000 random samples
+    # b1 on an array equals b1_scalar on each of 1000 random positions
     model = MODELS[name]()
-    b1, b0 = model.linear_decomposition
-    rng = np.random.default_rng(11)
-    x = rng.uniform(-50.0, 200.0, 1000)
-    theta = rng.uniform(-2.0, 2.0, 1000)
-    direct = np.array([model.eval(float(xi), float(ti))
-                       for xi, ti in zip(x, theta)])
-    decomposed = theta * b1(x) + b0(x)
-    scale = np.maximum(np.abs(direct), 1e-30)
-    assert np.all(np.abs(direct - decomposed) / scale <= 1e-12)
-
-
-def test_eval_drift_rejects_non_finite():
-    bad = DriftModel(name="bad", eval=lambda x, theta: float("nan"))
-    with pytest.raises(ValueError, match="non-finite"):
-        eval_drift(bad, 0.0, 1.0)
+    x = np.random.default_rng(11).uniform(-50.0, 200.0, 1000)
+    on_array = np.broadcast_to(model.b1(x), x.shape)
+    per_element = [model.b1_scalar(float(xi)) for xi in x]
+    np.testing.assert_allclose(on_array, per_element, rtol=1e-15)
 
 
 class TestSystemParams:

@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skestim import (DriftModel, IdentifiabilityError, MODELS,
                      ObservationGrid, ParameterSpace, Scheme, SystemParams,
                      Trajectory, make_noise_path, minimize_closed_form,
-                     minimize_golden, objective, objective_curve,
-                     simulate_coupled,
+                     minimize_golden, objective, simulate_coupled,
                      simulate_overdamped, uniform_objective_gap)
 
 EXP = Scheme.EXPONENTIAL_VELOCITY
@@ -41,7 +41,7 @@ class TestObjective:
         # data generated by the same Euler step with sigma=0 and a
         # theta-independent drift leaves zero residuals for every theta
         gamma, c = 2.0, 0.4
-        model = DriftModel(name="const", eval=lambda x, theta: gamma * c)
+        model = DriftModel("const", lambda x: 0.0, lambda x: 0.0, gamma * c)
         grid = ObservationGrid([0.0, 0.5, 0.7, 1.9])
         traj = Trajectory(grid=grid, positions=c * grid.times)
         for theta in [0.0, 1.0, -3.0]:
@@ -177,7 +177,6 @@ class TestGolden:
             minimize_golden(traj, MODELS["zero-drift"](), 1.0,
                             ParameterSpace(-5.0, 5.0))
 
-    @pytest.mark.filterwarnings("ignore:overflow")
     def test_non_finite_objective_raises(self):
         # theta^2 sum(b1^2 dt) overflows over most of this interval, and
         # comparing inf values would pick an arbitrary theta
@@ -205,17 +204,40 @@ class TestGolden:
         assert (res.theta_hat, res.evaluations) == (1.0, 149)
 
 
-class TestObjectiveCurve:
+# model -> (friction, range of the true theta, search space)
+RANDOM_PATH_CASES = {
+    "ou": (1.0, (0.2, 3.0), ParameterSpace(-5.0, 5.0)),
+    "constant-force": (1.0, (-2.0, 2.0), ParameterSpace(-5.0, 5.0)),
+    "colloidal": (1 / 6, (0.0, 0.05), ParameterSpace(0.0, 0.1)),
+    "zero-drift": (1.0, (-2.0, 2.0), ParameterSpace(-5.0, 5.0)),
+}
 
-    def test_generic_path_is_objective(self):
-        # the quadratic path is checked against objective by the figure1
-        # and estimate --curve tests
-        traj = simulate_ou_dataset(seed=5)
-        generic = DriftModel(name="ou-generic", eval=OU.eval)
-        thetas = np.linspace(-3.0, 3.0, 7)
-        direct = [objective(traj, generic, 1.0, t) for t in thetas]
-        assert list(objective_curve(traj, generic, 1.0, thetas)) == direct
 
+@settings(max_examples=80, deadline=None, database=None)
+@given(name=st.sampled_from(sorted(RANDOM_PATH_CASES)),
+       seed=st.integers(0, 2 ** 32), n=st.integers(5, 60),
+       frac=st.floats(0.0, 1.0), sigma=st.floats(0.05, 1.0),
+       x0=st.floats(0.0, 2.0))
+def test_golden_agrees_with_closed_form_on_random_paths(name, seed, n, frac,
+                                                       sigma, x0):
+    friction, (lo, hi), space = RANDOM_PATH_CASES[name]
+    model = MODELS[name]()
+    grid = ObservationGrid.uniform(n, 0.1, 1)
+    p = SystemParams(mass=1.0, friction=friction, noise=sigma, x0=x0)
+    traj = simulate_overdamped(model, lo + frac * (hi - lo), p, grid,
+                               make_noise_path(seed, 0, grid))
+    if name == "zero-drift":
+        with pytest.raises(IdentifiabilityError):
+            minimize_closed_form(traj, model, friction, space)
+        with pytest.raises(IdentifiabilityError):
+            minimize_golden(traj, model, friction, space)
+        return
+    cf = minimize_closed_form(traj, model, friction, space)
+    gs = minimize_golden(traj, model, friction, space)
+    if cf.at_boundary:
+        assert gs.at_boundary
+    else:
+        assert gs.theta_hat == pytest.approx(cf.theta_hat, abs=1e-8)
 
 class TestParameterSpace:
 
@@ -258,12 +280,13 @@ class TestUniformObjectiveGap:
         assert g101 == pytest.approx(g1001, rel=0.1)
 
     def test_generic_path_matches_quadratic_path(self):
-        # strip the decomposition to force the per-theta loop; results agree
+        # the gap from the quadratic coefficients equals the per-theta
+        # maximum of |objective_under - objective_over|
         (coupled, model) = self.coupled_colloidal(1e-2, n=100)
         space = ParameterSpace(0.0, 0.1)
-        generic = DriftModel(name="colloidal-generic", eval=model.eval)
         fast = uniform_objective_gap(coupled.underdamped, coupled.overdamped,
                                      model, 1 / 6, space, grid_points=51)
-        slow = uniform_objective_gap(coupled.underdamped, coupled.overdamped,
-                                     generic, 1 / 6, space, grid_points=51)
+        slow = max(abs(objective(coupled.underdamped, model, 1 / 6, t)
+                       - objective(coupled.overdamped, model, 1 / 6, t))
+                   for t in np.linspace(space.lo, space.hi, 51))
         assert fast == pytest.approx(slow, rel=1e-9)

@@ -89,13 +89,15 @@ class TestUnderdamped:
         assert traj.times is grid.times
 
     @pytest.mark.parametrize("sigma", [0.0, 1.0])
-    def test_friction_underflowing_the_substep_diverges(self, sigma):
-        # gamma * h underflows to 0: the run must stop at the divergence
-        # check, as with numpy-scalar arithmetic, not on a ZeroDivisionError
+    def test_friction_underflowing_the_substep_is_rejected(self, sigma):
+        # gamma * h underflows to 0: a parameter error before the loop, not
+        # a ZeroDivisionError or a divergence reported by the loop
         grid = ObservationGrid.uniform(5, 0.01, 10)
         p = SystemParams(mass=1.0, friction=1e-321, noise=sigma, x0=1.0, v0=0.0)
-        with pytest.raises(DivergenceError, match="substep 10 "):
+        with pytest.raises(ValueError, match="friction"):
             simulate_underdamped(OU, 1.0, p, grid, EXP, make_noise_path(1, 0, grid))
+        with pytest.raises(ValueError, match="friction"):
+            simulate_overdamped(OU, 1.0, p, grid, make_noise_path(1, 0, grid))
 
     def test_noise_length_mismatch(self):
         grid = ObservationGrid.uniform(10, 0.1, 2)
@@ -110,7 +112,7 @@ class TestOverdamped:
     def test_constant_drift_exact(self):
         # b = gamma * c makes Euler exact: x(t_k) = x0 + c * t_k
         gamma, c = 2.0, 0.7
-        model = DriftModel(name="const", eval=lambda x, theta: gamma * c)
+        model = DriftModel("const", lambda x: 0.0, lambda x: 0.0, gamma * c)
         grid = ObservationGrid([0.0, 0.125, 0.25, 1.0], 2)
         p = SystemParams(mass=1.0, friction=gamma, noise=0.0, x0=1.5)
         traj = simulate_overdamped(model, 0.0, p, grid, zero_noise(grid))
@@ -159,11 +161,14 @@ class TestOverdamped:
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_divergence_reports_substep(self):
-        cubic = DriftModel(name="cubic", eval=lambda x, theta: x * x * x)
+        def cube(x):
+            return x * x * x
+
+        cubic = DriftModel("cubic", cube, cube, 0.0)
         grid = ObservationGrid.uniform(50, 1.0, 1)
         p = SystemParams(mass=1.0, friction=1.0, noise=0.0, x0=3.0)
         with pytest.raises(DivergenceError, match="substep"):
-            simulate_overdamped(cubic, 0.0, p, grid, zero_noise(grid))
+            simulate_overdamped(cubic, 1.0, p, grid, zero_noise(grid))
 
 
 class TestCoupled:
