@@ -28,7 +28,6 @@ from .estimate import (
 )
 from .experiments import (
     SweepConfig,
-    SweepResult,
     SweepRow,
     run_consistency_sweep,
     run_figure1,

@@ -126,6 +126,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
+    if args.curve_points < 1:
+        raise ConfigError(f"--curve-points must be >= 1, got {args.curve_points}")
     traj = io.read_trajectory_csv(args.traj)
     model = MODELS[args.model]()
     space = ParameterSpace(args.theta_lo, args.theta_hi)
@@ -175,19 +177,19 @@ def _sweep_config_from_file(args) -> SweepConfig:
 
 def _cmd_sweep(args) -> int:
     cfg = _sweep_config_from_file(args)
-    result = run_consistency_sweep(cfg)
+    rows = run_consistency_sweep(cfg)
     out = _out_path(args.out)
-    io.write_sweep_csv(out, result.rows)
-    failures = [r for r in result.rows if r.error is not None]
-    print(f"wrote {out}: {len(result.rows)} rows ({len(failures)} failed cells)")
+    io.write_sweep_csv(out, rows)
+    failures = [r for r in rows if r.error is not None]
+    print(f"wrote {out}: {len(rows)} rows ({len(failures)} failed cells)")
     print(f"{'mu':>10} {'n':>8} {'median |err|':>14}")
     for mu in cfg.mu_values:
         for n in cfg.n_values:
-            errs = [r.abs_error for r in result.rows
+            errs = [r.abs_error for r in rows
                     if r.mu == mu and r.n == n and r.error is None]
             med = float(np.median(errs)) if errs else float("nan")
             print(f"{mu:>10g} {n:>8d} {med:>14.6g}")
-    return 0 if len(failures) < len(result.rows) else 2
+    return 0 if len(failures) < len(rows) else 2
 
 
 def _cmd_figure1(args) -> int:

@@ -166,8 +166,8 @@ class ObservationGrid:
     def uniform(cls, n: int, dt: float, substeps_per_interval: int = 1) -> "ObservationGrid":
         if n < 1:
             raise ValueError("n must be >= 1")
-        if dt <= 0:
-            raise ValueError("dt must be > 0")
+        if not (dt > 0 and math.isfinite(dt * n)):
+            raise ValueError(f"dt must be finite and > 0 with n * dt finite, got {dt}")
         return cls(dt * np.arange(n + 1), substeps_per_interval)
 
     @property
@@ -234,13 +234,31 @@ class NoisePath:
     stream_id: int
 
 
-def make_noise_path(seed: int, stream_id: int, grid: ObservationGrid) -> NoisePath:
-    """Realize the Brownian increments driving one simulation run."""
+def philox_generator(seed: int, stream_id: int):
+    """The numpy Generator of the (seed, stream_id) noise stream."""
+    # no return annotation: numpy loads np.random lazily, on first use
     # the Philox key packs both into 128 bits, so wider values would alias
     if not (0 <= seed < 2 ** 64 and 0 <= stream_id < 2 ** 64):
         raise ValueError("seed and stream_id must be integers in [0, 2**64)")
-    key = (int(stream_id) << 64) | int(seed)
-    rng = np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=(int(stream_id) << 64) | int(seed)))
+
+
+def draw_increments(rngs, widths: np.ndarray) -> np.ndarray:
+    """The next len(widths) increments of every generator, one row each.
+
+    Each row continues its generator's stream exactly as make_noise_path
+    draws it, so consecutive draws joined end to end equal the one-shot path.
+    """
+    out = np.empty((len(rngs), len(widths)))
+    for row, rng in zip(out, rngs):
+        rng.standard_normal(out=row)
+    out *= np.sqrt(widths)
+    return out
+
+
+def make_noise_path(seed: int, stream_id: int, grid: ObservationGrid) -> NoisePath:
+    """Realize the Brownian increments driving one simulation run."""
+    rng = philox_generator(seed, stream_id)
     widths = grid.substep_widths()
     increments = rng.standard_normal(len(widths)) * np.sqrt(widths)
     increments.setflags(write=False)

@@ -43,38 +43,49 @@ class EstimationResult:
     evaluations: int
 
 
-def _residual_parts(traj: Trajectory, friction: float):
-    x = traj.positions
-    dts = traj.grid.dts
-    # a subnormal friction passes the first two tests but overflows dt / friction
+def _residual_parts(x: np.ndarray, dts: np.ndarray, friction: float):
+    """Previous positions, increments and drift scale dt / friction along the
+    last axis of x: one path, or a block of paths one per row."""
+    # a subnormal friction passes the first two tests but overflows 1 / friction
+    # or dt / friction
     if not (friction > 0 and math.isfinite(friction)
+            and math.isfinite(1.0 / friction)
             and math.isfinite(float(dts.max()) / friction)):
         raise ValueError(
-            f"friction must be finite and > 0 with dt / friction finite, got {friction}")
-    d = x[1:] - x[:-1]
-    return x[:-1], d, dts, dts / friction
+            f"friction must be finite and > 0 with 1 / friction and dt / friction "
+            f"finite, got {friction}")
+    xprev = x[..., :-1]
+    return xprev, x[..., 1:] - xprev, dts / friction
 
 
 def objective(traj: Trajectory, model: DriftModel, friction: float,
               theta: float) -> float:
     """Evaluate the least-squares objective at one theta."""
-    if len(traj.grid) < 2:
-        raise ValueError("objective needs at least two observation points")
-    xprev, d, dts, scale = _residual_parts(traj, friction)
+    dts = traj.grid.dts
+    xprev, d, scale = _residual_parts(traj.positions, dts, friction)
     r = d - scale * (theta * model.b1(xprev) + model.b0)
     return float(np.sum(r * r / dts))
+
+
+def path_coefficients(x: np.ndarray, dts: np.ndarray, model: DriftModel,
+                      friction: float):
+    """Coefficients (A, B, C) with F(theta) = A theta^2 + B theta + C, summed
+    along the last axis of the positions x: one path, or one path per row.
+    A row's sums equal those of the same path alone, bit for bit."""
+    xprev, d, scale = _residual_parts(x, dts, friction)
+    u = d - scale * model.b0
+    w = scale * model.b1(xprev)
+    a = np.sum(w * w / dts, axis=-1)
+    b = -2.0 * np.sum(u * w / dts, axis=-1)
+    c = np.sum(u * u / dts, axis=-1)
+    return a, b, c
 
 
 def quadratic_coefficients(traj: Trajectory, model: DriftModel,
                            friction: float):
     """Coefficients (A, B, C) with F(theta) = A theta^2 + B theta + C."""
-    xprev, d, dts, scale = _residual_parts(traj, friction)
-    u = d - scale * model.b0
-    w = scale * model.b1(xprev)
-    a = float(np.sum(w * w / dts))
-    b = -2.0 * float(np.sum(u * w / dts))
-    c = float(np.sum(u * u / dts))
-    return a, b, c
+    a, b, c = path_coefficients(traj.positions, traj.grid.dts, model, friction)
+    return float(a), float(b), float(c)
 
 
 def objective_curve(traj: Trajectory, model: DriftModel, friction: float,
@@ -85,21 +96,28 @@ def objective_curve(traj: Trajectory, model: DriftModel, friction: float,
     return (a * thetas + b) * thetas + c
 
 
-def minimize_closed_form(traj: Trajectory, model: DriftModel, friction: float,
-                         space: ParameterSpace) -> EstimationResult:
-    """Exact quadratic vertex, clipped to the parameter space."""
-    a, b, _ = quadratic_coefficients(traj, model, friction)
+def clipped_vertex(a: float, b: float, space: ParameterSpace):
+    """The minimizer -B / (2A) of A theta^2 + B theta + C clipped to the
+    space, and whether the clip moved it."""
     if not a > 0 or not math.isfinite(a):
         raise IdentifiabilityError(
             "theta is not identifiable from this path: sum of ||b1||^2 dt "
             f"is {a:g} (b1 vanishes along the trajectory)")
     vertex = -b / (2.0 * a)
     theta_hat = min(max(vertex, space.lo), space.hi)
+    return theta_hat, theta_hat != vertex
+
+
+def minimize_closed_form(traj: Trajectory, model: DriftModel, friction: float,
+                         space: ParameterSpace) -> EstimationResult:
+    """Exact quadratic vertex, clipped to the parameter space."""
+    a, b, _ = quadratic_coefficients(traj, model, friction)
+    theta_hat, at_boundary = clipped_vertex(a, b, space)
     return EstimationResult(
         theta_hat=theta_hat,
         objective_at_min=objective(traj, model, friction, theta_hat),
         method="closed-form",
-        at_boundary=theta_hat != vertex,
+        at_boundary=at_boundary,
         evaluations=1,
     )
 
@@ -110,8 +128,8 @@ def minimize_golden(traj: Trajectory, model: DriftModel, friction: float,
     """Derivative-free minimization: coarse grid scan to bracket the minimum,
     then golden-section search until the bracket is below tol, or below a few
     ulps of its ends when tol is finer than that."""
-    if not tol > 0:
-        raise ValueError("tol must be > 0")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
 
     def f(theta):
         # an overflowing objective is reported below, not as a numpy warning

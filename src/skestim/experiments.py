@@ -7,15 +7,18 @@ independent of execution order.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .core import MODELS, ObservationGrid, SystemParams, make_noise_path
-from .estimate import (ParameterSpace, minimize_closed_form, objective_curve,
+from .core import (MODELS, ObservationGrid, SystemParams, make_noise_path,
+                   philox_generator)
+from .estimate import (ParameterSpace, clipped_vertex, minimize_closed_form,
+                       objective_curve, path_coefficients,
                        uniform_objective_gap)
-from .simulate import Scheme, simulate_coupled, simulate_underdamped
+from .simulate import (Scheme, simulate_coupled, simulate_overdamped,
+                       simulate_underdamped, simulate_underdamped_batch)
 
 # Figure defaults for the colloidal reproduction: gamma = 1/6, sigma = 10,
 # theta0 = 0.02, mu = 0.001, n = 1e5 observations. The observation spacing is
@@ -32,6 +35,10 @@ FIGURE1_SPACE = ParameterSpace(0.0, 0.1)
 
 # _stream_id packs the n index and the replicate into 20 bits each.
 _STREAM_FIELD = 2 ** 20
+
+# positions fitted at a time, in whole replicates (at least one); this bounds
+# the fit's temporaries
+_FIT_POSITIONS = 16384
 
 
 @dataclass(frozen=True)
@@ -61,8 +68,8 @@ class SweepConfig:
             raise ValueError(f"replicates must be in [1, {_STREAM_FIELD}]")
         if len(self.n_values) > _STREAM_FIELD:
             raise ValueError(f"at most {_STREAM_FIELD} n_values are allowed")
-        if self.delta <= 0:
-            raise ValueError("delta must be > 0")
+        if not (self.delta > 0 and math.isfinite(self.delta)):
+            raise ValueError(f"delta must be finite and > 0, got {self.delta}")
         if self.model_id not in MODELS:
             raise ValueError(f"unknown model {self.model_id!r}; "
                              f"known: {sorted(MODELS)}")
@@ -77,11 +84,6 @@ class SweepRow:
     abs_error: float
     sup_distance: Optional[float] = None
     error: Optional[str] = None
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    rows: List[SweepRow] = field(default_factory=list)
 
 
 def _stream_id(i_mu: int, i_n: int, replicate: int) -> int:
@@ -112,13 +114,60 @@ def run_figure1(seed: int, n: int = FIGURE1_N, dt: float = FIGURE1_DT,
     return traj, (thetas, curve), result
 
 
-def run_consistency_sweep(cfg: SweepConfig) -> SweepResult:
+def _error_row(mu: float, n: int, rep: int, exc: Exception) -> SweepRow:
+    return SweepRow(mu=mu, n=n, replicate=rep, theta_hat=float("nan"),
+                    abs_error=float("nan"), error=f"{type(exc).__name__}: {exc}")
+
+
+def _sweep_cell(cfg: SweepConfig, model, params: SystemParams,
+                grid: ObservationGrid, i_mu: int, i_n: int) -> List[SweepRow]:
+    """Integrate and fit one (mu, n) cell's replicates as one batch."""
+    mu, n = params.mass, grid.n_intervals
+    streams = [_stream_id(i_mu, i_n, rep) for rep in range(cfg.replicates)]
+    rngs = [philox_generator(cfg.base_seed, stream) for stream in streams]
+    try:
+        positions, errors = simulate_underdamped_batch(
+            model, cfg.theta_true, params, grid, rngs)
+        a, b = [], []
+        per_block = max(1, _FIT_POSITIONS // (n + 1))
+        # rows that diverged are not finite; their coefficients go unused
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo in range(0, cfg.replicates, per_block):
+                block = positions[lo:lo + per_block]
+                a_blk, b_blk, _ = path_coefficients(block, grid.dts, model, cfg.gamma)
+                # a position-independent b1 gives one A for every row
+                a += np.broadcast_to(a_blk, len(block)).tolist()
+                b += b_blk.tolist()
+    except (RuntimeError, ValueError) as exc:  # the whole cell fails
+        return [_error_row(mu, n, rep, exc) for rep in range(cfg.replicates)]
+
+    rows = []
+    for rep in range(cfg.replicates):
+        try:
+            if errors[rep] is not None:
+                raise errors[rep]
+            sup = None
+            if rep == 0:
+                # the coupled diagnostic: the overdamped limit on the same noise
+                over = simulate_overdamped(
+                    model, cfg.theta_true, params, grid,
+                    make_noise_path(cfg.base_seed, streams[0], grid))
+                sup = float(np.max(np.abs(positions[0] - over.positions)))
+            theta_hat, _ = clipped_vertex(a[rep], b[rep], cfg.space)
+            rows.append(SweepRow(mu=mu, n=n, replicate=rep, theta_hat=theta_hat,
+                                 abs_error=abs(theta_hat - cfg.theta_true),
+                                 sup_distance=sup))
+        except (RuntimeError, ValueError) as exc:  # record, keep sweeping
+            rows.append(_error_row(mu, n, rep, exc))
+    return rows
+
+
+def run_consistency_sweep(cfg: SweepConfig) -> List[SweepRow]:
     """Estimate theta for every (mu, n, replicate) cell with horizon
     T = delta * sqrt(n) and uniform spacing T/n. Replicate 0 of each cell also
     runs the coupled small-mass diagnostic. Cells that fail with a
     RuntimeError or ValueError become error rows; other exceptions propagate."""
     model = MODELS[cfg.model_id]()
-    scheme = Scheme.EXPONENTIAL_VELOCITY
     rows = []
     for i_mu, mu in enumerate(cfg.mu_values):
         params = SystemParams(mass=mu, friction=cfg.gamma, noise=cfg.sigma,
@@ -126,33 +175,9 @@ def run_consistency_sweep(cfg: SweepConfig) -> SweepResult:
         for i_n, n in enumerate(cfg.n_values):
             dt = cfg.delta * math.sqrt(n) / n
             grid = ObservationGrid.uniform(n, dt, cfg.substeps)
-            for rep in range(cfg.replicates):
-                noise = make_noise_path(cfg.base_seed,
-                                        _stream_id(i_mu, i_n, rep), grid)
-                try:
-                    sup = None
-                    if rep == 0:
-                        coupled = simulate_coupled(model, cfg.theta_true,
-                                                   params, grid, scheme, noise)
-                        traj = coupled.underdamped
-                        sup = coupled.sup_distance
-                    else:
-                        traj = simulate_underdamped(model, cfg.theta_true,
-                                                    params, grid, scheme, noise)
-                    result = minimize_closed_form(traj, model, cfg.gamma,
-                                                  cfg.space)
-                    rows.append(SweepRow(
-                        mu=mu, n=n, replicate=rep,
-                        theta_hat=result.theta_hat,
-                        abs_error=abs(result.theta_hat - cfg.theta_true),
-                        sup_distance=sup))
-                except (RuntimeError, ValueError) as exc:  # record, keep sweeping
-                    rows.append(SweepRow(mu=mu, n=n, replicate=rep,
-                                         theta_hat=float("nan"),
-                                         abs_error=float("nan"),
-                                         error=f"{type(exc).__name__}: {exc}"))
+            rows += _sweep_cell(cfg, model, params, grid, i_mu, i_n)
     rows.sort(key=lambda r: (r.mu, r.n, r.replicate))
-    return SweepResult(rows=rows)
+    return rows
 
 
 def run_gamma_diagnostic(mu_values: Sequence[float], n: int, seed: int,

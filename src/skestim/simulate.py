@@ -17,6 +17,7 @@ degenerates to exactly the overdamped Euler-Maruyama step with the same
 Brownian increment, so coupled runs converge pathwise.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -24,7 +25,7 @@ from enum import Enum
 import numpy as np
 
 from .core import (DivergenceError, DriftModel, NoisePath, ObservationGrid,
-                   SystemParams, Trajectory)
+                   SystemParams, Trajectory, draw_increments)
 
 
 class Scheme(Enum):
@@ -41,19 +42,48 @@ class CoupledRunResult:
     sup_distance: float
 
 
-def _check_inputs(grid: ObservationGrid, noise: NoisePath, friction: float):
+# substeps of noise the batch draws per replicate at a time, rounded down to
+# whole observation intervals (at least one)
+_CHUNK_SUBSTEPS = 128
+
+
+def _check_inputs(theta: float, params: SystemParams, grid: ObservationGrid,
+                  underdamped: bool):
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta}")
+    # a subnormal friction passes SystemParams but its products with the
+    # substep width, or the quotients the integrators divide by it,
+    # underflow or overflow
+    friction = params.friction
+    s = grid.substeps_per_interval
+    numerators = [1.0, params.noise] + ([params.mass] if underdamped else [])
+    if not (friction * (float(grid.dts.min()) / s) > 0
+            and math.isfinite((float(grid.dts.max()) / s) / friction)
+            and all(math.isfinite(c / friction) for c in numerators)):
+        raise ValueError(
+            f"friction must be large enough that friction * substep > 0 and "
+            f"substep, 1, sigma and mu over friction are finite, got {friction}")
+
+
+def _check_noise(grid: ObservationGrid, noise: NoisePath):
     if len(noise.increments) != grid.total_substeps:
         raise ValueError(
             f"noise path has {len(noise.increments)} increments, "
             f"grid needs {grid.total_substeps}")
-    # a subnormal friction passes SystemParams but its products with the
-    # substep width underflow or overflow inside the integrators
-    s = grid.substeps_per_interval
-    if not (friction * (float(grid.dts.min()) / s) > 0
-            and math.isfinite((float(grid.dts.max()) / s) / friction)):
-        raise ValueError(
-            f"friction must be > 0 with friction * substep > 0 and "
-            f"substep / friction finite, got {friction}")
+
+
+def _exponential_coefficients(h: float, mu: float, gamma: float, sigma: float):
+    """Per-substep coefficients (a, 1 - a, relax, tail, inv_sg, inv_g) of the
+    exponential-velocity scheme for substep width h."""
+    a = math.exp(-gamma * h / mu)
+    one_a = 1.0 - a
+    relax = (mu / gamma) * one_a  # integral of the decay over one substep
+    return a, one_a, relax, h - relax, sigma / (gamma * h), 1.0 / gamma
+
+
+def _underdamped_divergence(idx: int, t: float, x: float, v: float) -> DivergenceError:
+    return DivergenceError(
+        f"underdamped run diverged at substep {idx} (t ~ {t:g}): x={x!r}, v={v!r}")
 
 
 def simulate_underdamped(model: DriftModel, theta: float, params: SystemParams,
@@ -61,7 +91,8 @@ def simulate_underdamped(model: DriftModel, theta: float, params: SystemParams,
                          noise: NoisePath) -> Trajectory:
     """Integrate the underdamped system; returns positions and velocities at
     the observation times (internal substeps are discarded)."""
-    _check_inputs(grid, noise, params.friction)
+    _check_inputs(theta, params, grid, underdamped=True)
+    _check_noise(grid, noise)
     mu, gamma, sigma = params.mass, params.friction, params.noise
     x = float(params.x0)
     v = float(params.v0)
@@ -89,21 +120,15 @@ def simulate_underdamped(model: DriftModel, theta: float, params: SystemParams,
                 b = theta * b1(x) + b0
                 x, v = x + v * h, v + b * cb - v * cg + cs * dw
         else:
-            a = math.exp(-gamma * h / mu)
-            one_a = 1.0 - a
-            relax = (mu / gamma) * one_a  # integral of the decay over one substep
-            tail = h - relax
-            inv_sg = sigma / (gamma * h)
-            inv_g = 1.0 / gamma
+            a, one_a, relax, tail, inv_sg, inv_g = _exponential_coefficients(
+                h, mu, gamma, sigma)
             for dw in inc[idx:idx + s]:
                 f = (theta * b1(x) + b0) * inv_g + inv_sg * dw
                 x = x + relax * v + tail * f
                 v = a * v + one_a * f
         idx += s
         if not (math.isfinite(x) and math.isfinite(v)):
-            raise DivergenceError(
-                f"underdamped run diverged at substep {idx} (t ~ {grid.times[k + 1]:g}): "
-                f"x={x!r}, v={v!r}")
+            raise _underdamped_divergence(idx, grid.times[k + 1], x, v)
         positions.append(x)
         velocities.append(v)
 
@@ -114,7 +139,8 @@ def simulate_underdamped(model: DriftModel, theta: float, params: SystemParams,
 def simulate_overdamped(model: DriftModel, theta: float, params: SystemParams,
                         grid: ObservationGrid, noise: NoisePath) -> Trajectory:
     """Euler-Maruyama integration of the overdamped limit; velocities absent."""
-    _check_inputs(grid, noise, params.friction)
+    _check_inputs(theta, params, grid, underdamped=False)
+    _check_noise(grid, noise)
     gamma, sigma = params.friction, params.noise
     x = float(params.x0)
     b1, b0 = model.b1_scalar, model.b0
@@ -138,6 +164,52 @@ def simulate_overdamped(model: DriftModel, theta: float, params: SystemParams,
         positions.append(x)
 
     return Trajectory(grid=grid, positions=np.array(positions))
+
+
+def simulate_underdamped_batch(model: DriftModel, theta: float,
+                               params: SystemParams, grid: ObservationGrid,
+                               rngs):
+    """Exponential-velocity runs of len(rngs) replicates at once, replicate r
+    driven by the increments of rngs[r] drawn a few intervals at a time.
+
+    Returns (positions, errors). Row r of positions is the path
+    simulate_underdamped gives on rngs[r]'s noise path; errors[r] is None, or
+    the DivergenceError that run would raise, and row r is then not finite
+    from that observation on.
+    """
+    _check_inputs(theta, params, grid, underdamped=True)
+    mu, gamma, sigma = params.mass, params.friction, params.noise
+    b1, b0 = model.b1, model.b0
+    s = grid.substeps_per_interval
+    n = grid.n_intervals
+    dts = grid.dts
+    per_chunk = max(1, _CHUNK_SUBSTEPS // s)
+    x = np.full(len(rngs), float(params.x0))
+    v = np.full(len(rngs), float(params.v0))
+    positions = np.empty((len(rngs), n + 1))
+    positions[:, 0] = x
+    errors = [None] * len(rngs)
+
+    # a diverging row overflows; it is reported below and the others go on
+    with np.errstate(all="ignore"):
+        for k0 in range(0, n, per_chunk):
+            k1 = min(k0 + per_chunk, n)
+            steps = iter(draw_increments(rngs, np.repeat(dts[k0:k1] / s, s)).T)
+            for k in range(k0, k1):
+                a, one_a, relax, tail, inv_sg, inv_g = _exponential_coefficients(
+                    float(dts[k]) / s, mu, gamma, sigma)
+                for dw in itertools.islice(steps, s):
+                    f = (theta * b1(x) + b0) * inv_g + inv_sg * dw
+                    x = x + relax * v + tail * f
+                    v = a * v + one_a * f
+                positions[:, k + 1] = x
+                finite = np.isfinite(x) & np.isfinite(v)
+                if not finite.all():
+                    for r in np.flatnonzero(~finite).tolist():
+                        if errors[r] is None:
+                            errors[r] = _underdamped_divergence(
+                                (k + 1) * s, grid.times[k + 1], float(x[r]), float(v[r]))
+    return positions, errors
 
 
 def simulate_coupled(model: DriftModel, theta: float, params: SystemParams,

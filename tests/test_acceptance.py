@@ -118,8 +118,8 @@ def test_6_consistency_trend():
                       space=ParameterSpace(-5.0, 5.0), gamma=1.0, sigma=1.0,
                       x0=1.0, substeps=4)
     res = run_consistency_sweep(cfg)
-    assert all(r.error is None for r in res.rows)
-    medians = [float(np.median([r.abs_error for r in res.rows if r.n == n]))
+    assert all(r.error is None for r in res)
+    medians = [float(np.median([r.abs_error for r in res if r.n == n]))
                for n in cfg.n_values]
     ratio = medians[2] / medians[0]
     ok = medians[0] > medians[1] > medians[2] and ratio < 0.5

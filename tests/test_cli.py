@@ -1,13 +1,16 @@
 import os
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import skestim
-from skestim import io
+from skestim import cli, io
 
 # the directory holding the skestim this process imported, from a checkout
 # or an install; a relative PYTHONPATH would not resolve from the child's cwd
@@ -95,6 +98,38 @@ class TestSimulateCommand:
         assert "friction" in proc.stderr
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("mode", ["underdamped", "overdamped"])
+    def test_friction_overflowing_its_quotients_exits_1(self, tmp_path, mode):
+        # friction * substep > 0 and substep / friction is finite, but
+        # 1 / friction and sigma / friction overflow
+        proc = run_cli(["simulate", "--model", "ou", "--mode", mode, "--mu", "1",
+                        "--gamma", "1e-310", "--sigma", "1", "--theta", "1",
+                        "--n", "10", "--dt", "0.01", "--substeps", "10",
+                        "--seed", "1", "--out", "x.csv"], cwd=tmp_path)
+        assert proc.returncode == 1
+        assert "friction" in proc.stderr
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("mode", ["underdamped", "overdamped"])
+    @pytest.mark.parametrize("theta", ["inf", "nan"])
+    def test_non_finite_theta_exits_1(self, tmp_path, mode, theta):
+        args = ["simulate", "--model", "ou", "--mode", mode, "--gamma", "1",
+                "--sigma", "1", "--theta", theta, "--n", "10", "--dt", "0.01",
+                "--seed", "1", "--out", "x.csv"]
+        proc = run_cli(args, cwd=tmp_path)
+        assert proc.returncode == 1
+        assert "theta must be finite" in proc.stderr
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("dt", ["inf", "nan"])
+    def test_non_finite_dt_exits_1(self, tmp_path, dt):
+        args = [a if a != "0.01" else dt for a in SIMULATE_ARGS]
+        proc = run_cli(args, cwd=tmp_path)
+        assert proc.returncode == 1
+        assert "dt must be finite" in proc.stderr
+        assert "Warning" not in proc.stderr
+        assert not (tmp_path / "traj.csv").exists()
+
     def test_env_var_output_dir(self, tmp_path):
         outdir = tmp_path / "results"
         outdir.mkdir()
@@ -143,6 +178,16 @@ class TestEstimateCommand:
         model = MODELS["constant-force"]()
         direct = [objective(traj, model, 1.0, t) for t in thetas]
         assert np.allclose(values, direct, rtol=1e-12)
+
+    @pytest.mark.parametrize("points", ["0", "-1"])
+    def test_curve_points_below_1_exits_1(self, tmp_path, points):
+        self.make_hand_case(tmp_path)
+        proc = run_cli(["estimate", "--traj", "hand.csv", "--model", "constant-force",
+                        "--gamma", "1", "--theta-lo", "0", "--theta-hi", "2",
+                        "--curve", "curve.csv", "--curve-points", points], cwd=tmp_path)
+        assert proc.returncode == 1
+        assert "--curve-points" in proc.stderr
+        assert not (tmp_path / "curve.csv").exists()
 
     def test_missing_file_exits_1(self, tmp_path):
         proc = run_cli(["estimate", "--traj", "nope.csv", "--model", "ou",
@@ -210,6 +255,83 @@ class TestEstimateCommand:
         assert proc.returncode == 1
         assert "friction" in proc.stderr
         assert "Warning" not in proc.stderr
+
+
+def _floats(**bounds):
+    return st.floats(**bounds).map(repr)
+
+
+NON_FINITE = st.sampled_from(["nan", "inf", "-inf"])
+NOT_POSITIVE = st.one_of(NON_FINITE, _floats(max_value=0.0))
+# 1 / friction overflows below 1 / DBL_MAX, about 5.6e-309
+FRICTION = st.one_of(NOT_POSITIVE, _floats(min_value=5e-324, max_value=5e-309))
+NOT_IN_64_BITS = st.one_of(st.integers(max_value=-1),
+                           st.integers(min_value=2 ** 64)).map(str)
+
+SIMULATE_VALID = {"mu": "0.5", "gamma": "1", "sigma": "1", "theta": "1", "n": "10",
+                  "dt": "0.01", "substeps": "2", "x0": "0", "v0": "0", "seed": "1",
+                  "stream": "0"}
+SIMULATE_INVALID = {
+    "mu": NOT_POSITIVE, "gamma": FRICTION,
+    "sigma": st.one_of(NON_FINITE, _floats(max_value=-5e-324)),
+    "theta": NON_FINITE, "dt": NOT_POSITIVE, "x0": NON_FINITE, "v0": NON_FINITE,
+    "n": st.integers(max_value=0).map(str),
+    "substeps": st.integers(max_value=0).map(str),
+    "seed": NOT_IN_64_BITS, "stream": NOT_IN_64_BITS,
+}
+ESTIMATE_VALID = {"gamma": "1", "theta-lo": "0", "theta-hi": "2", "tol": "1e-10",
+                  "curve-points": "5"}
+ESTIMATE_INVALID = {
+    "gamma": FRICTION, "theta-lo": st.one_of(NON_FINITE, _floats(min_value=2.0)),
+    "theta-hi": st.one_of(NON_FINITE, _floats(max_value=0.0)),
+    "tol": NOT_POSITIVE, "curve-points": st.integers(max_value=0).map(str),
+}
+
+
+def _invalid_case(valid, invalid):
+    return st.sampled_from(sorted(invalid)).flatmap(
+        lambda key: invalid[key].map(lambda value: dict(valid, **{key: value})))
+
+
+def _run_in_process(argv):
+    start = time.perf_counter()
+    code = cli.main(argv)
+    return code, time.perf_counter() - start
+
+
+class TestInvalidNumbersExit1:
+    """Every invalid numeric option stops as a configuration error, without a
+    warning (pytest turns RuntimeWarnings into errors) and in bounded time."""
+
+    @settings(max_examples=120, deadline=None, database=None)
+    @given(values=_invalid_case(SIMULATE_VALID, SIMULATE_INVALID),
+           mode=st.sampled_from(["underdamped", "overdamped"]),
+           model=st.sampled_from(["ou", "colloidal"]))
+    def test_simulate(self, values, mode, model):
+        with tempfile.TemporaryDirectory() as d:
+            out = os.path.join(d, "x.csv")
+            code, elapsed = _run_in_process(
+                ["simulate", "--model", model, "--mode", mode, "--out", out]
+                + [f"--{k}={v}" for k, v in values.items()])
+            assert code == 1
+            assert elapsed < 5.0
+            assert not os.path.exists(out)
+
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(values=_invalid_case(ESTIMATE_VALID, ESTIMATE_INVALID),
+           model=st.sampled_from(["ou", "constant-force"]))
+    def test_estimate(self, values, model):
+        # golden section, so that --tol is read
+        with tempfile.TemporaryDirectory() as d:
+            traj, curve = os.path.join(d, "t.csv"), os.path.join(d, "c.csv")
+            with open(traj, "w") as fh:
+                fh.write("t,x\n0,1\n1,2\n2,1.5\n")
+            code, elapsed = _run_in_process(
+                ["estimate", "--traj", traj, "--model", model, "--method", "golden",
+                 "--curve", curve] + [f"--{k}={v}" for k, v in values.items()])
+            assert code == 1
+            assert elapsed < 5.0
+            assert not os.path.exists(curve)
 
 
 class TestUsageErrors:

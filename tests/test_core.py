@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skestim import (G_EFF, MODELS, ObservationGrid, SystemParams, Trajectory,
                      colloidal_model, make_noise_path, ou_model)
+from skestim.core import draw_increments, philox_generator
 
 # g_eff recomputed independently from the printed constant expression
 G_EFF_ORACLE = 4.0 / 3.0 * math.pi * (1.31 / 2.0) ** 2 * 0.51 * 9.8e-3
@@ -72,6 +74,25 @@ class TestNoisePath:
         with pytest.raises(ValueError, match=r"2\*\*64"):
             make_noise_path(seed, stream_id, grid)
         make_noise_path(2 ** 64 - 1, 2 ** 64 - 1, grid)
+        with pytest.raises(ValueError, match=r"2\*\*64"):
+            philox_generator(seed, stream_id)
+
+    @settings(max_examples=50, deadline=None, database=None)
+    @given(cuts=st.lists(st.integers(0, 84), max_size=8),
+           seed=st.integers(0, 2 ** 64 - 1))
+    def test_chunked_draws_equal_the_one_shot_path(self, cuts, seed):
+        # 21 intervals of 4 substeps, cut anywhere: chunk edges need not fall
+        # on interval boundaries
+        grid = ObservationGrid(np.cumsum([0.0] + [0.1, 0.3, 0.05] * 7), 4)
+        widths = grid.substep_widths()
+        rngs = [philox_generator(seed, stream) for stream in range(3)]
+        edges = [0] + sorted(cuts) + [len(widths)]
+        joined = np.hstack([draw_increments(rngs, widths[lo:hi])
+                            for lo, hi in zip(edges, edges[1:])])
+        assert joined.shape == (3, len(widths))
+        for stream in range(3):
+            want = make_noise_path(seed, stream, grid).increments
+            assert joined[stream].tobytes() == want.tobytes()
 
 
 class TestColloidalModel:
@@ -168,6 +189,12 @@ class TestObservationGrid:
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
             ObservationGrid([0.0])
+
+    @pytest.mark.parametrize("dt", [0.0, -0.1, math.inf, -math.inf, math.nan, 1e308])
+    def test_uniform_needs_finite_positive_dt(self, dt):
+        # 1e308 is finite but the last time, n * dt, is not
+        with pytest.raises(ValueError, match="dt"):
+            ObservationGrid.uniform(10, dt)
 
 
 class TestTrajectory:

@@ -9,6 +9,8 @@ from skestim import (DriftModel, IdentifiabilityError, MODELS,
                      Trajectory, make_noise_path, minimize_closed_form,
                      minimize_golden, objective, simulate_coupled,
                      simulate_overdamped, uniform_objective_gap)
+from skestim.estimate import (clipped_vertex, path_coefficients,
+                              quadratic_coefficients)
 
 EXP = Scheme.EXPONENTIAL_VELOCITY
 CONST_FORCE = MODELS["constant-force"]()
@@ -51,7 +53,8 @@ class TestObjective:
         with pytest.raises(ValueError, match="friction"):
             objective(hand_trajectory(), CONST_FORCE, -1.0, 0.0)
 
-    @pytest.mark.parametrize("friction", [0.0, -1.0, math.inf, math.nan, 1e-320])
+    @pytest.mark.parametrize("friction", [0.0, -1.0, math.inf, math.nan, 1e-320,
+                                          1e-310])
     def test_closed_form_rejects_invalid_friction(self, friction):
         # checked where the residuals are formed, so the quadratic
         # coefficients never divide by zero or by a non-finite friction
@@ -169,6 +172,12 @@ class TestGolden:
         with pytest.raises(ValueError):
             minimize_golden(hand_trajectory(), CONST_FORCE, 1.0,
                             ParameterSpace(0.0, 1.0), tol=0.0)
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan])
+    def test_rejects_non_finite_tol(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            minimize_golden(hand_trajectory(), CONST_FORCE, 1.0,
+                            ParameterSpace(0.0, 1.0), tol=tol)
 
     def test_flat_objective_not_identifiable(self):
         # zero drift: the objective does not depend on theta at all
@@ -290,3 +299,33 @@ class TestUniformObjectiveGap:
                        - objective(coupled.overdamped, model, 1 / 6, t))
                    for t in np.linspace(space.lo, space.hi, 51))
         assert fast == pytest.approx(slow, rel=1e-9)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(name=st.sampled_from(sorted(RANDOM_PATH_CASES)), rows=st.integers(1, 6),
+       n=st.one_of(st.integers(1, 40), st.integers(100, 3000)),
+       seed=st.integers(0, 2 ** 32), scale=st.floats(1e-3, 10.0))
+def test_row_fits_equal_the_closed_form_per_row(name, rows, n, seed, scale):
+    # random walks on a non-uniform grid; each row's sums, vertex, clip and
+    # identifiability error must be those of the path fitted alone
+    friction, _, space = RANDOM_PATH_CASES[name]
+    model = MODELS[name]()
+    rng = np.random.default_rng(seed)
+    grid = ObservationGrid(np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 0.2, n))]))
+    positions = rng.uniform(-1.0, 1.0, (rows, 1)) + np.concatenate(
+        [np.zeros((rows, 1)), np.cumsum(rng.normal(0.0, scale, (rows, n)), axis=1)], axis=1)
+    a, b, c = path_coefficients(positions, grid.dts, model, friction)
+    a = np.broadcast_to(a, rows)
+    for r in range(rows):
+        traj = Trajectory(grid=grid, positions=positions[r])
+        assert (float(a[r]), float(b[r]), float(c[r])) == quadratic_coefficients(
+            traj, model, friction)
+        try:
+            want = minimize_closed_form(traj, model, friction, space)
+        except IdentifiabilityError as exc:
+            with pytest.raises(IdentifiabilityError) as got:
+                clipped_vertex(float(a[r]), float(b[r]), space)
+            assert str(got.value) == str(exc)
+        else:
+            assert clipped_vertex(float(a[r]), float(b[r]), space) == (
+                want.theta_hat, want.at_boundary)

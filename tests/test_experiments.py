@@ -1,9 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
 import skestim.experiments as experiments
-from skestim import (MODELS, ParameterSpace, SweepConfig, objective,
-                     run_consistency_sweep, run_figure1, run_gamma_diagnostic)
+from skestim import (MODELS, DivergenceError, DriftModel, ObservationGrid,
+                     ParameterSpace, Scheme, SweepConfig, SystemParams,
+                     make_noise_path, minimize_closed_form, objective,
+                     run_consistency_sweep, run_figure1, run_gamma_diagnostic,
+                     simulate_coupled, simulate_underdamped)
 
 
 def small_sweep_config(**overrides):
@@ -40,29 +45,29 @@ class TestConsistencySweep:
 
     def test_row_shape(self):
         res = run_consistency_sweep(small_sweep_config())
-        assert len(res.rows) == 2 * 2 * 3
-        keys = [(r.mu, r.n, r.replicate) for r in res.rows]
+        assert len(res) == 2 * 2 * 3
+        keys = [(r.mu, r.n, r.replicate) for r in res]
         assert keys == sorted(keys)
-        assert all(r.abs_error >= 0 for r in res.rows if r.error is None)
+        assert all(r.abs_error >= 0 for r in res if r.error is None)
 
     def test_single_cell(self):
         res = run_consistency_sweep(small_sweep_config(
             mu_values=[1e-2], n_values=[20], replicates=1))
-        assert len(res.rows) == 1
+        assert len(res) == 1
 
     def test_coupled_diagnostic_on_replicate_zero_only(self):
         res = run_consistency_sweep(small_sweep_config())
-        for r in res.rows:
+        for r in res:
             assert (r.sup_distance is not None) == (r.replicate == 0)
 
     def test_reproducible(self):
         a = run_consistency_sweep(small_sweep_config())
         b = run_consistency_sweep(small_sweep_config())
-        assert [r.theta_hat for r in a.rows] == [r.theta_hat for r in b.rows]
+        assert [r.theta_hat for r in a] == [r.theta_hat for r in b]
 
     def test_cell_failure_recorded_not_raised(self, monkeypatch):
         calls = {"n": 0}
-        orig = experiments.simulate_underdamped
+        orig = experiments.clipped_vertex
 
         def flaky(*args, **kwargs):
             calls["n"] += 1
@@ -70,12 +75,12 @@ class TestConsistencySweep:
                 raise RuntimeError("synthetic cell failure")
             return orig(*args, **kwargs)
 
-        monkeypatch.setattr(experiments, "simulate_underdamped", flaky)
+        monkeypatch.setattr(experiments, "clipped_vertex", flaky)
         res = run_consistency_sweep(small_sweep_config())
-        failed = [r for r in res.rows if r.error is not None]
+        failed = [r for r in res if r.error is not None]
         assert len(failed) == 1
         assert "synthetic cell failure" in failed[0].error
-        assert len(res.rows) == 12
+        assert len(res) == 12
 
     def test_invalid_configs(self):
         with pytest.raises(ValueError):
@@ -86,6 +91,60 @@ class TestConsistencySweep:
             small_sweep_config(replicates=0)
         with pytest.raises(ValueError):
             small_sweep_config(model_id="nope")
+
+    @pytest.mark.parametrize("delta", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_bad_delta(self, delta):
+        with pytest.raises(ValueError, match="delta"):
+            small_sweep_config(delta=delta)
+
+    def test_rows_equal_scalar_runs(self):
+        # each replicate's batched path and fit against one scalar run on
+        # its own noise stream; replicate 0 against the coupled run
+        cfg = small_sweep_config(replicates=5)
+        rows = {(r.mu, r.n, r.replicate): r for r in run_consistency_sweep(cfg)}
+        assert len(rows) == 2 * 2 * 5
+        model = MODELS["ou"]()
+        for i_mu, mu in enumerate(cfg.mu_values):
+            params = SystemParams(mass=mu, friction=cfg.gamma, noise=cfg.sigma,
+                                  x0=cfg.x0, v0=cfg.v0)
+            for i_n, n in enumerate(cfg.n_values):
+                grid = ObservationGrid.uniform(n, cfg.delta * math.sqrt(n) / n,
+                                               cfg.substeps)
+                for rep in range(cfg.replicates):
+                    noise = make_noise_path(cfg.base_seed,
+                                            experiments._stream_id(i_mu, i_n, rep), grid)
+                    traj = simulate_underdamped(model, cfg.theta_true, params, grid,
+                                                Scheme.EXPONENTIAL_VELOCITY, noise)
+                    want = minimize_closed_form(traj, model, cfg.gamma, cfg.space)
+                    row = rows[mu, n, rep]
+                    assert row.theta_hat == want.theta_hat
+                    if rep == 0:
+                        coupled = simulate_coupled(model, cfg.theta_true, params, grid,
+                                                   Scheme.EXPONENTIAL_VELOCITY, noise)
+                        assert row.sup_distance == coupled.sup_distance
+
+    def test_diverging_replicate_is_one_error_row(self, monkeypatch):
+        # with this seed replicate 3 of 4 escapes under the unstable cubic
+        # drift before the horizon; the message is the scalar loop's
+        def cube(x):
+            return x * x * x
+
+        cubic = DriftModel("cubic", cube, cube, 0.0)
+        monkeypatch.setattr(experiments, "MODELS",
+                            dict(experiments.MODELS, cubic=lambda: cubic))
+        cfg = small_sweep_config(mu_values=[0.1], n_values=[40], delta=0.2,
+                                 replicates=4, base_seed=3, model_id="cubic",
+                                 sigma=1.0, x0=0.5)
+        rows = run_consistency_sweep(cfg)
+        failed = [r for r in rows if r.error is not None]
+        assert [r.replicate for r in failed] == [3]
+        grid = ObservationGrid.uniform(40, 0.2 * math.sqrt(40) / 40, 2)
+        params = SystemParams(mass=0.1, friction=1.0, noise=1.0, x0=0.5)
+        with pytest.raises(DivergenceError) as scalar:
+            simulate_underdamped(cubic, 1.0, params, grid, Scheme.EXPONENTIAL_VELOCITY,
+                                 make_noise_path(3, experiments._stream_id(0, 0, 3), grid))
+        assert failed[0].error == f"DivergenceError: {scalar.value}"
+        assert all(math.isfinite(r.theta_hat) for r in rows if r.error is None)
 
     def test_rejects_counts_wider_than_stream_fields(self):
         # _stream_id packs the n index and the replicate into 20 bits each;
@@ -100,7 +159,7 @@ class TestConsistencySweep:
         def broken(*args, **kwargs):
             raise TypeError("synthetic programming error")
 
-        monkeypatch.setattr(experiments, "simulate_underdamped", broken)
+        monkeypatch.setattr(experiments, "clipped_vertex", broken)
         with pytest.raises(TypeError, match="synthetic"):
             run_consistency_sweep(small_sweep_config())
 

@@ -3,11 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skestim import (CoupledRunResult, DivergenceError, DriftModel,
                      MODELS, ObservationGrid, Scheme,
                      SystemParams, make_noise_path, simulate_coupled,
                      simulate_overdamped, simulate_underdamped)
+from skestim.core import philox_generator
+from skestim.simulate import simulate_underdamped_batch
 
 EXP = Scheme.EXPONENTIAL_VELOCITY
 EM = Scheme.EULER_MARUYAMA
@@ -98,6 +101,40 @@ class TestUnderdamped:
             simulate_underdamped(OU, 1.0, p, grid, EXP, make_noise_path(1, 0, grid))
         with pytest.raises(ValueError, match="friction"):
             simulate_overdamped(OU, 1.0, p, grid, make_noise_path(1, 0, grid))
+
+    @pytest.mark.parametrize("friction", [1e-310, 5e-309])
+    def test_friction_overflowing_its_quotients_is_rejected(self, friction):
+        # friction * substep > 0 and substep / friction is finite, but
+        # 1 / friction and sigma / friction overflow
+        grid = ObservationGrid.uniform(5, 0.01, 10)
+        p = SystemParams(mass=1.0, friction=friction, noise=1.0, x0=1.0)
+        with pytest.raises(ValueError, match="friction"):
+            simulate_underdamped(OU, 1.0, p, grid, EXP, make_noise_path(1, 0, grid))
+        with pytest.raises(ValueError, match="friction"):
+            simulate_overdamped(OU, 1.0, p, grid, make_noise_path(1, 0, grid))
+        with pytest.raises(ValueError, match="friction"):
+            simulate_underdamped_batch(OU, 1.0, p, grid, [philox_generator(1, 0)])
+
+    def test_mass_over_friction_checked_only_with_mass(self):
+        grid = ObservationGrid.uniform(5, 0.01, 1)
+        p = SystemParams(mass=1e300, friction=1e-10, noise=1.0, x0=1.0)
+        with pytest.raises(ValueError, match="friction"):
+            simulate_underdamped(OU, 1.0, p, grid, EXP, make_noise_path(1, 0, grid))
+        simulate_overdamped(OU, 1.0, p, grid, make_noise_path(1, 0, grid))
+
+    @pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+    def test_non_finite_theta_is_rejected(self, theta):
+        grid = ObservationGrid.uniform(5, 0.01, 2)
+        p = SystemParams(mass=1.0, friction=1.0, noise=1.0, x0=1.0)
+        noise = make_noise_path(1, 0, grid)
+        for run in (lambda m: simulate_underdamped(m, theta, p, grid, EXP, noise),
+                    lambda m: simulate_underdamped(m, theta, p, grid, EM, noise),
+                    lambda m: simulate_overdamped(m, theta, p, grid, noise),
+                    lambda m: simulate_underdamped_batch(
+                        m, theta, p, grid, [philox_generator(1, 0)])):
+            for model in (OU, ZERO):
+                with pytest.raises(ValueError, match="theta"):
+                    run(model)
 
     def test_noise_length_mismatch(self):
         grid = ObservationGrid.uniform(10, 0.1, 2)
@@ -205,6 +242,59 @@ class TestCoupled:
         b = simulate_coupled(model, 0.02, p, grid, EXP, make_noise_path(6, 0, grid))
         assert a.sup_distance == b.sup_distance
         assert np.array_equal(a.underdamped.positions, b.underdamped.positions)
+
+
+def cube(x):
+    return x * x * x
+
+
+CUBIC = DriftModel("cubic", cube, cube, 0.0)
+
+
+class TestBatch:
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(model_id=st.sampled_from(["ou", "constant-force", "zero-drift", "colloidal"]),
+           replicates=st.integers(1, 5), n=st.integers(1, 40),
+           substeps=st.integers(1, 70), mu=st.floats(1e-4, 1.0),
+           seed=st.integers(0, 2 ** 64 - 1), x0=st.floats(-2.0, 2.0))
+    def test_rows_equal_the_scalar_loop(self, model_id, replicates, n, substeps,
+                                        mu, seed, x0):
+        # n * substeps spans several noise chunks, and a chunk can hold a
+        # single interval
+        model = MODELS[model_id]()
+        gamma, sigma, theta = (1 / 6, 10.0, 0.02) if model_id == "colloidal" else (1.0, 1.0, 1.3)
+        grid = ObservationGrid.uniform(n, 0.01, substeps)
+        p = SystemParams(mass=mu, friction=gamma, noise=sigma, x0=x0, v0=0.5)
+        positions, errors = simulate_underdamped_batch(
+            model, theta, p, grid, [philox_generator(seed, r) for r in range(replicates)])
+        assert positions.shape == (replicates, n + 1)
+        assert errors == [None] * replicates
+        for r in range(replicates):
+            want = simulate_underdamped(model, theta, p, grid, EXP,
+                                        make_noise_path(seed, r, grid)).positions
+            if model_id == "colloidal":
+                # vector np.exp and math.exp differ by an ulp on some inputs
+                np.testing.assert_allclose(positions[r], want, rtol=1e-12, atol=0)
+            else:
+                assert positions[r].tobytes() == want.tobytes()
+
+    def test_diverging_row_gets_the_scalar_message(self):
+        # with this seed replicate 3 escapes before the horizon, the others
+        # do not
+        grid = ObservationGrid.uniform(40, 0.2 * math.sqrt(40) / 40, 2)
+        p = SystemParams(mass=0.1, friction=1.0, noise=1.0, x0=0.5)
+        positions, errors = simulate_underdamped_batch(
+            CUBIC, 1.0, p, grid, [philox_generator(3, r) for r in range(4)])
+        assert [e is None for e in errors] == [True, True, True, False]
+        with pytest.raises(DivergenceError) as scalar:
+            simulate_underdamped(CUBIC, 1.0, p, grid, EXP, make_noise_path(3, 3, grid))
+        assert isinstance(errors[3], DivergenceError)
+        assert str(errors[3]) == str(scalar.value)
+        for r in range(3):
+            want = simulate_underdamped(CUBIC, 1.0, p, grid, EXP,
+                                        make_noise_path(3, r, grid)).positions
+            assert positions[r].tobytes() == want.tobytes()
 
 
 # SHA-256 of the positions (then velocities) bytes of 200-interval paths,
