@@ -8,7 +8,6 @@ from .core import (
     G_EFF,
     IdentifiabilityError,
     MODELS,
-    NoisePath,
     ObservationGrid,
     SystemParams,
     Trajectory,

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import io
 from .core import (ConfigError, DivergenceError, IdentifiabilityError,
-                   MODELS, ObservationGrid, SystemParams, make_noise_path)
+                   MODELS, ObservationGrid, SystemParams, philox_generator)
 from .estimate import (ParameterSpace, minimize_closed_form, minimize_golden,
                        objective_curve)
 from .experiments import (SweepConfig, run_figure1, run_gamma_diagnostic,
@@ -110,13 +110,13 @@ def _cmd_simulate(args) -> int:
     params = SystemParams(mass=args.mu, friction=args.gamma, noise=args.sigma,
                           x0=args.x0, v0=args.v0)
     grid = ObservationGrid.uniform(args.n, args.dt, args.substeps)
-    noise = make_noise_path(args.seed, args.stream, grid)
+    rng = philox_generator(args.seed, args.stream)
     start = time.perf_counter()
     if args.mode == "underdamped":
         traj = simulate_underdamped(model, args.theta, params, grid,
-                                    SCHEMES[args.scheme], noise)
+                                    SCHEMES[args.scheme], rng)
     else:
-        traj = simulate_overdamped(model, args.theta, params, grid, noise)
+        traj = simulate_overdamped(model, args.theta, params, grid, rng)
     elapsed = time.perf_counter() - start
     out = _out_path(args.out)
     io.write_trajectory_csv(out, traj)

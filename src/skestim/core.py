@@ -178,11 +178,6 @@ class ObservationGrid:
     def total_substeps(self) -> int:
         return self.n_intervals * self.substeps_per_interval
 
-    def substep_widths(self) -> np.ndarray:
-        """Width of every internal substep, in grid order."""
-        return np.repeat(self.dts / self.substeps_per_interval,
-                         self.substeps_per_interval)
-
     def __len__(self) -> int:
         return len(self.times)
 
@@ -219,21 +214,6 @@ class Trajectory:
         return self.grid.times
 
 
-@dataclass(frozen=True)
-class NoisePath:
-    """Brownian increments, one per internal substep, each N(0, substep width).
-
-    Regenerating with the same (seed, stream_id, grid) is bit-identical:
-    increments come from a counter-based Philox generator keyed on
-    (seed, stream_id), so parallel replicates are deterministic regardless
-    of scheduling.
-    """
-
-    increments: np.ndarray
-    seed: int
-    stream_id: int
-
-
 def philox_generator(seed: int, stream_id: int):
     """The numpy Generator of the (seed, stream_id) noise stream."""
     # no return annotation: numpy loads np.random lazily, on first use
@@ -243,12 +223,15 @@ def philox_generator(seed: int, stream_id: int):
     return np.random.Generator(np.random.Philox(key=(int(stream_id) << 64) | int(seed)))
 
 
-def draw_increments(rngs, widths: np.ndarray) -> np.ndarray:
-    """The next len(widths) increments of every generator, one row each.
+def draw_increments(rngs, dts: np.ndarray, substeps: int) -> np.ndarray:
+    """The noise of the next len(dts) observation intervals of every
+    generator, one row each: substeps increments per interval, each
+    N(0, dt / substeps).
 
-    Each row continues its generator's stream exactly as make_noise_path
-    draws it, so consecutive draws joined end to end equal the one-shot path.
+    Each row continues its generator's stream, so consecutive draws joined
+    end to end equal the one-shot draw of make_noise_path.
     """
+    widths = np.repeat(dts / substeps, substeps)
     out = np.empty((len(rngs), len(widths)))
     for row, rng in zip(out, rngs):
         rng.standard_normal(out=row)
@@ -256,10 +239,13 @@ def draw_increments(rngs, widths: np.ndarray) -> np.ndarray:
     return out
 
 
-def make_noise_path(seed: int, stream_id: int, grid: ObservationGrid) -> NoisePath:
-    """Realize the Brownian increments driving one simulation run."""
-    rng = philox_generator(seed, stream_id)
-    widths = grid.substep_widths()
-    increments = rng.standard_normal(len(widths)) * np.sqrt(widths)
-    increments.setflags(write=False)
-    return NoisePath(increments=increments, seed=int(seed), stream_id=int(stream_id))
+def make_noise_path(seed: int, stream_id: int, grid: ObservationGrid) -> np.ndarray:
+    """Every Brownian increment of the (seed, stream_id) run on the grid, in
+    one draw; the simulators draw the same increments a chunk at a time.
+
+    Regenerating with the same (seed, stream_id, grid) is bit-identical:
+    the counter-based Philox generator keyed on (seed, stream_id) makes
+    replicates deterministic regardless of scheduling.
+    """
+    return draw_increments([philox_generator(seed, stream_id)], grid.dts,
+                           grid.substeps_per_interval)[0]

@@ -71,13 +71,16 @@ def path_coefficients(x: np.ndarray, dts: np.ndarray, model: DriftModel,
                       friction: float):
     """Coefficients (A, B, C) with F(theta) = A theta^2 + B theta + C, summed
     along the last axis of the positions x: one path, or one path per row.
-    A row's sums equal those of the same path alone, bit for bit."""
-    xprev, d, scale = _residual_parts(x, dts, friction)
-    u = d - scale * model.b0
-    w = scale * model.b1(xprev)
-    a = np.sum(w * w / dts, axis=-1)
-    b = -2.0 * np.sum(u * w / dts, axis=-1)
-    c = np.sum(u * u / dts, axis=-1)
+    A row's sums equal those of the same path alone, bit for bit. A sum
+    that overflows, or a row that is not finite, gives a non-finite
+    coefficient without a warning; clipped_vertex reports it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        xprev, d, scale = _residual_parts(x, dts, friction)
+        u = d - scale * model.b0
+        w = scale * model.b1(xprev)
+        a = np.sum(w * w / dts, axis=-1)
+        b = -2.0 * np.sum(u * w / dts, axis=-1)
+        c = np.sum(u * u / dts, axis=-1)
     return a, b, c
 
 
@@ -99,7 +102,12 @@ def objective_curve(traj: Trajectory, model: DriftModel, friction: float,
 def clipped_vertex(a: float, b: float, space: ParameterSpace):
     """The minimizer -B / (2A) of A theta^2 + B theta + C clipped to the
     space, and whether the clip moved it."""
-    if not a > 0 or not math.isfinite(a):
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(
+            f"the objective's coefficients overflow (A={a:g}, B={b:g}): the "
+            "drift scale b1 * dt / friction is too large along this path for "
+            "the friction given")
+    if not a > 0:
         raise IdentifiabilityError(
             "theta is not identifiable from this path: sum of ||b1||^2 dt "
             f"is {a:g} (b1 vanishes along the trajectory)")

@@ -14,19 +14,22 @@ from .core import ConfigError, ObservationGrid, Trajectory
 
 
 _SPEC = ".17g"
-_CHUNK_ROWS = 8192  # rows converted to Python floats at a time
+_CHUNK_ROWS = 8192  # rows converted, formatted and written at a time
 
 
 def _fmt(x: float) -> str:
     return format(float(x), _SPEC)
 
 
-def atomic_write_text(path: str, text: str):
+def atomic_write_text(path: str, text):
+    """Write text, a string or an iterable of strings written as they come,
+    to a temporary file beside path and rename it over path; on any failure
+    path is untouched and the temporary file is removed."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".csv")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -35,16 +38,20 @@ def atomic_write_text(path: str, text: str):
 
 
 def write_trajectory_csv(path: str, traj: Trajectory):
-    """Header t,x (plus v for underdamped runs), one row per grid point."""
+    """Header t,x (plus v for underdamped runs), one row per grid point,
+    streamed to the file a chunk of rows at a time."""
     columns = [traj.times, traj.positions]
     if traj.velocities is not None:
         columns.append(traj.velocities)
-    lines = ["t,x,v" if len(columns) == 3 else "t,x"]
-    row = ",".join(["%" + _SPEC] * len(columns))
-    for start in range(0, len(traj.grid), _CHUNK_ROWS):
-        chunk = [c[start:start + _CHUNK_ROWS].tolist() for c in columns]
-        lines += [row % values for values in zip(*chunk)]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    row = ",".join(["%" + _SPEC] * len(columns)) + "\n"
+
+    def chunks():
+        yield "t,x,v\n" if len(columns) == 3 else "t,x\n"
+        for start in range(0, len(traj.grid), _CHUNK_ROWS):
+            block = [c[start:start + _CHUNK_ROWS].tolist() for c in columns]
+            yield "".join([row % values for values in zip(*block)])
+
+    atomic_write_text(path, chunks())
 
 
 def read_trajectory_csv(path: str) -> Trajectory:

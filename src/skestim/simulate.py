@@ -24,8 +24,8 @@ from enum import Enum
 
 import numpy as np
 
-from .core import (DivergenceError, DriftModel, NoisePath, ObservationGrid,
-                   SystemParams, Trajectory, draw_increments)
+from .core import (DivergenceError, DriftModel, ObservationGrid, SystemParams,
+                   Trajectory, draw_increments, philox_generator)
 
 
 class Scheme(Enum):
@@ -42,9 +42,10 @@ class CoupledRunResult:
     sup_distance: float
 
 
-# substeps of noise the batch draws per replicate at a time, rounded down to
-# whole observation intervals (at least one)
-_CHUNK_SUBSTEPS = 128
+# doubles of noise drawn at a time, over all generators of a run, rounded
+# down to whole observation intervals (at least one); this bounds the noise
+# a run holds
+_DRAW_DOUBLES = 65536
 
 
 def _check_inputs(theta: float, params: SystemParams, grid: ObservationGrid,
@@ -65,11 +66,15 @@ def _check_inputs(theta: float, params: SystemParams, grid: ObservationGrid,
             f"substep, 1, sigma and mu over friction are finite, got {friction}")
 
 
-def _check_noise(grid: ObservationGrid, noise: NoisePath):
-    if len(noise.increments) != grid.total_substeps:
-        raise ValueError(
-            f"noise path has {len(noise.increments)} increments, "
-            f"grid needs {grid.total_substeps}")
+def _noise_chunks(grid: ObservationGrid, rngs):
+    """(k0, k1, increments) for consecutive runs of whole intervals k0..k1-1,
+    the increments one row per generator, as draw_increments gives them."""
+    s = grid.substeps_per_interval
+    n = grid.n_intervals
+    per_draw = max(1, _DRAW_DOUBLES // (len(rngs) * s))
+    for k0 in range(0, n, per_draw):
+        k1 = min(k0 + per_draw, n)
+        yield k0, k1, draw_increments(rngs, grid.dts[k0:k1], s)
 
 
 def _exponential_coefficients(h: float, mu: float, gamma: float, sigma: float):
@@ -87,81 +92,78 @@ def _underdamped_divergence(idx: int, t: float, x: float, v: float) -> Divergenc
 
 
 def simulate_underdamped(model: DriftModel, theta: float, params: SystemParams,
-                         grid: ObservationGrid, scheme: Scheme,
-                         noise: NoisePath) -> Trajectory:
-    """Integrate the underdamped system; returns positions and velocities at
-    the observation times (internal substeps are discarded)."""
+                         grid: ObservationGrid, scheme: Scheme, rng) -> Trajectory:
+    """Integrate the underdamped system on the noise the generator rng draws
+    next; returns positions and velocities at the observation times
+    (internal substeps are discarded)."""
     _check_inputs(theta, params, grid, underdamped=True)
-    _check_noise(grid, noise)
     mu, gamma, sigma = params.mass, params.friction, params.noise
     x = float(params.x0)
     v = float(params.v0)
     b1, b0 = model.b1_scalar, model.b0
     s = grid.substeps_per_interval
     dts = grid.dts
-    inc = noise.increments.tolist()
     euler = scheme is Scheme.EULER_MARUYAMA
 
-    n = grid.n_intervals
     positions = [x]
     velocities = [v]
-    idx = 0
-    for k in range(n):
-        h = float(dts[k]) / s
-        if euler:
-            if not h < mu / (2.0 * gamma):
-                raise ValueError(
-                    f"Euler-Maruyama stability guard violated: substep {h:g} "
-                    f">= mu/(2*gamma) = {mu / (2.0 * gamma):g}")
-            cb = h / mu
-            cg = gamma * h / mu
-            cs = sigma / mu
-            for dw in inc[idx:idx + s]:
-                b = theta * b1(x) + b0
-                x, v = x + v * h, v + b * cb - v * cg + cs * dw
-        else:
-            a, one_a, relax, tail, inv_sg, inv_g = _exponential_coefficients(
-                h, mu, gamma, sigma)
-            for dw in inc[idx:idx + s]:
-                f = (theta * b1(x) + b0) * inv_g + inv_sg * dw
-                x = x + relax * v + tail * f
-                v = a * v + one_a * f
-        idx += s
-        if not (math.isfinite(x) and math.isfinite(v)):
-            raise _underdamped_divergence(idx, grid.times[k + 1], x, v)
-        positions.append(x)
-        velocities.append(v)
+    for k0, k1, block in _noise_chunks(grid, [rng]):
+        inc = block[0].tolist()
+        for k in range(k0, k1):
+            h = float(dts[k]) / s
+            steps = inc[(k - k0) * s:(k - k0 + 1) * s]
+            if euler:
+                if not h < mu / (2.0 * gamma):
+                    raise ValueError(
+                        f"Euler-Maruyama stability guard violated: substep {h:g} "
+                        f">= mu/(2*gamma) = {mu / (2.0 * gamma):g}")
+                cb = h / mu
+                cg = gamma * h / mu
+                cs = sigma / mu
+                for dw in steps:
+                    b = theta * b1(x) + b0
+                    x, v = x + v * h, v + b * cb - v * cg + cs * dw
+            else:
+                a, one_a, relax, tail, inv_sg, inv_g = _exponential_coefficients(
+                    h, mu, gamma, sigma)
+                for dw in steps:
+                    f = (theta * b1(x) + b0) * inv_g + inv_sg * dw
+                    x = x + relax * v + tail * f
+                    v = a * v + one_a * f
+            if not (math.isfinite(x) and math.isfinite(v)):
+                raise _underdamped_divergence((k + 1) * s, grid.times[k + 1], x, v)
+            positions.append(x)
+            velocities.append(v)
 
     return Trajectory(grid=grid, positions=np.array(positions),
                       velocities=np.array(velocities))
 
 
 def simulate_overdamped(model: DriftModel, theta: float, params: SystemParams,
-                        grid: ObservationGrid, noise: NoisePath) -> Trajectory:
-    """Euler-Maruyama integration of the overdamped limit; velocities absent."""
+                        grid: ObservationGrid, rng) -> Trajectory:
+    """Euler-Maruyama integration of the overdamped limit on the noise the
+    generator rng draws next; velocities absent."""
     _check_inputs(theta, params, grid, underdamped=False)
-    _check_noise(grid, noise)
     gamma, sigma = params.friction, params.noise
     x = float(params.x0)
     b1, b0 = model.b1_scalar, model.b0
     s = grid.substeps_per_interval
     dts = grid.dts
-    inc = noise.increments.tolist()
 
     positions = [x]
-    idx = 0
-    for k in range(grid.n_intervals):
-        h = float(dts[k]) / s
-        cb = h / gamma
-        cs = sigma / gamma
-        for dw in inc[idx:idx + s]:
-            x = x + (theta * b1(x) + b0) * cb + cs * dw
-        idx += s
-        if not math.isfinite(x):
-            raise DivergenceError(
-                f"overdamped run diverged at substep {idx} "
-                f"(t ~ {grid.times[k + 1]:g}): x={x!r}")
-        positions.append(x)
+    for k0, k1, block in _noise_chunks(grid, [rng]):
+        inc = block[0].tolist()
+        for k in range(k0, k1):
+            h = float(dts[k]) / s
+            cb = h / gamma
+            cs = sigma / gamma
+            for dw in inc[(k - k0) * s:(k - k0 + 1) * s]:
+                x = x + (theta * b1(x) + b0) * cb + cs * dw
+            if not math.isfinite(x):
+                raise DivergenceError(
+                    f"overdamped run diverged at substep {(k + 1) * s} "
+                    f"(t ~ {grid.times[k + 1]:g}): x={x!r}")
+            positions.append(x)
 
     return Trajectory(grid=grid, positions=np.array(positions))
 
@@ -170,10 +172,10 @@ def simulate_underdamped_batch(model: DriftModel, theta: float,
                                params: SystemParams, grid: ObservationGrid,
                                rngs):
     """Exponential-velocity runs of len(rngs) replicates at once, replicate r
-    driven by the increments of rngs[r] drawn a few intervals at a time.
+    driven by the increments rngs[r] draws next.
 
     Returns (positions, errors). Row r of positions is the path
-    simulate_underdamped gives on rngs[r]'s noise path; errors[r] is None, or
+    simulate_underdamped gives on rngs[r]; errors[r] is None, or
     the DivergenceError that run would raise, and row r is then not finite
     from that observation on.
     """
@@ -183,7 +185,6 @@ def simulate_underdamped_batch(model: DriftModel, theta: float,
     s = grid.substeps_per_interval
     n = grid.n_intervals
     dts = grid.dts
-    per_chunk = max(1, _CHUNK_SUBSTEPS // s)
     x = np.full(len(rngs), float(params.x0))
     v = np.full(len(rngs), float(params.v0))
     positions = np.empty((len(rngs), n + 1))
@@ -192,9 +193,8 @@ def simulate_underdamped_batch(model: DriftModel, theta: float,
 
     # a diverging row overflows; it is reported below and the others go on
     with np.errstate(all="ignore"):
-        for k0 in range(0, n, per_chunk):
-            k1 = min(k0 + per_chunk, n)
-            steps = iter(draw_increments(rngs, np.repeat(dts[k0:k1] / s, s)).T)
+        for k0, k1, block in _noise_chunks(grid, rngs):
+            steps = iter(block.T)
             for k in range(k0, k1):
                 a, one_a, relax, tail, inv_sg, inv_g = _exponential_coefficients(
                     float(dts[k]) / s, mu, gamma, sigma)
@@ -213,12 +213,15 @@ def simulate_underdamped_batch(model: DriftModel, theta: float,
 
 
 def simulate_coupled(model: DriftModel, theta: float, params: SystemParams,
-                     grid: ObservationGrid, scheme: Scheme,
-                     noise: NoisePath) -> CoupledRunResult:
-    """Run both systems on the same Brownian increments and record the
-    sup distance over observation times."""
-    under = simulate_underdamped(model, theta, params, grid, scheme, noise)
-    over = simulate_overdamped(model, theta, params, grid, noise)
+                     grid: ObservationGrid, scheme: Scheme, seed: int,
+                     stream_id: int) -> CoupledRunResult:
+    """Run both systems on the Brownian increments of the (seed, stream_id)
+    stream, drawn afresh for each, and record the sup distance over
+    observation times."""
+    under = simulate_underdamped(model, theta, params, grid, scheme,
+                                 philox_generator(seed, stream_id))
+    over = simulate_overdamped(model, theta, params, grid,
+                               philox_generator(seed, stream_id))
     dist = np.abs(under.positions - over.positions)
     return CoupledRunResult(underdamped=under, overdamped=over,
                             sup_distance=float(np.max(dist)))

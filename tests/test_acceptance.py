@@ -17,11 +17,12 @@ import pytest
 
 import skestim
 from skestim import (MODELS, ObservationGrid, ParameterSpace,
-                     Scheme, SweepConfig, SystemParams, make_noise_path,
+                     Scheme, SweepConfig, SystemParams,
                      minimize_closed_form, minimize_golden,
                      run_consistency_sweep, run_figure1, run_gamma_diagnostic,
                      simulate_coupled, simulate_overdamped,
                      simulate_underdamped)
+from skestim.core import philox_generator
 
 EXP = Scheme.EXPONENTIAL_VELOCITY
 OU = MODELS["ou"]()
@@ -57,10 +58,7 @@ def test_2_zero_noise_exactness():
         model = MODELS[model_name]()
         grid = ObservationGrid.uniform(200, 0.05, 1)
         p = SystemParams(mass=1.0, friction=gamma, noise=0.0, x0=x0)
-        noise = make_noise_path(0, 0, grid)
-        noise = type(noise)(increments=np.zeros_like(noise.increments),
-                            seed=0, stream_id=0)
-        traj = simulate_overdamped(model, theta0, p, grid, noise)
+        traj = simulate_overdamped(model, theta0, p, grid, philox_generator(0, 0))
         res = minimize_closed_form(traj, model, gamma,
                                    ParameterSpace(theta0 - 1.0, theta0 + 1.0))
         worst = max(worst, abs(res.theta_hat - theta0))
@@ -75,7 +73,7 @@ def test_3_closed_form_vs_golden():
     for seed in range(100):
         grid = ObservationGrid.uniform(50, 0.1, 1)
         traj = simulate_overdamped(OU, 1.0, p, grid,
-                                   make_noise_path(1000, seed, grid))
+                                   philox_generator(1000, seed))
         cf = minimize_closed_form(traj, OU, 1.0, space)
         gs = minimize_golden(traj, OU, 1.0, space, tol=1e-12)
         boundary_hits += cf.at_boundary
@@ -89,12 +87,11 @@ def test_3_closed_form_vs_golden():
 def test_4_small_mass_coupling():
     start = time.perf_counter()
     grid = ObservationGrid.uniform(1000, 0.01, 10)
-    noise = make_noise_path(1, 0, grid)
     model = MODELS["colloidal"]()
     sups = []
     for mu in [1e-1, 1e-2, 1e-3]:
         p = SystemParams(mass=mu, friction=1 / 6, noise=10.0, x0=0.0, v0=0.0)
-        sups.append(simulate_coupled(model, 0.02, p, grid, EXP, noise).sup_distance)
+        sups.append(simulate_coupled(model, 0.02, p, grid, EXP, 1, 0).sup_distance)
     elapsed = time.perf_counter() - start
     ok = sups[0] > sups[1] > sups[2] and elapsed < 30.0
     record(4, "pathwise coupling distance shrinks with mass", ok,
@@ -134,7 +131,7 @@ def test_7_simulator_oracles():
     p = SystemParams(mass=1.0, friction=1.0, noise=1.0, x0=1.0)
     finals = np.array([
         simulate_overdamped(OU, 1.0, p, grid,
-                            make_noise_path(2024, rep, grid)).positions[-1]
+                            philox_generator(2024, rep)).positions[-1]
         for rep in range(10_000)])
     se = finals.std(ddof=1) / math.sqrt(len(finals))
     mean_dev = abs(finals.mean() - math.exp(-1.0)) / se
@@ -144,7 +141,7 @@ def test_7_simulator_oracles():
     vgrid = ObservationGrid.uniform(5000, 0.01, 10)
     vp = SystemParams(mass=mu, friction=gamma, noise=sigma, x0=0.0, v0=0.0)
     traj = simulate_underdamped(MODELS["zero-drift"](), 0.0, vp, vgrid, EXP,
-                                make_noise_path(3, 0, vgrid))
+                                philox_generator(3, 0))
     v = traj.velocities[500:]  # burn-in 5 s >> mu/gamma = 0.06 s
     target = sigma ** 2 / (2.0 * gamma * mu)
     var_rel = abs(np.var(v) - target) / target

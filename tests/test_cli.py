@@ -247,6 +247,18 @@ class TestEstimateCommand:
         assert "Warning" not in proc.stderr
         assert "theta_hat" not in proc.stdout
 
+    def test_overflowing_coefficients_exit_1(self, tmp_path):
+        # a normal friction whose (dt / friction)^2 overflows A: exit 1 naming
+        # the friction, not exit 3 saying b1 vanishes
+        self.make_three_rows(tmp_path)
+        proc = run_cli(["estimate", "--traj", "three.csv", "--model", "ou",
+                        "--gamma", "1e-307", "--theta-lo", "0", "--theta-hi", "1"],
+                       cwd=tmp_path)
+        assert proc.returncode == 1
+        assert "friction" in proc.stderr
+        assert "Warning" not in proc.stderr
+        assert "theta_hat" not in proc.stdout
+
     def test_subnormal_friction_exits_1(self, tmp_path):
         self.make_three_rows(tmp_path)
         proc = run_cli(["estimate", "--traj", "three.csv", "--model", "ou",

@@ -16,19 +16,18 @@ class TestNoisePath:
 
     def test_shape(self):
         grid = ObservationGrid.uniform(10, 0.1, 4)
-        path = make_noise_path(1, 0, grid)
-        assert len(path.increments) == 40
+        assert make_noise_path(1, 0, grid).shape == (40,)
 
     def test_deterministic_regeneration(self):
         grid = ObservationGrid.uniform(10, 0.1, 4)
         a = make_noise_path(1, 0, grid)
         b = make_noise_path(1, 0, grid)
-        assert np.array_equal(a.increments, b.increments)
+        assert np.array_equal(a, b)
 
     def test_frozen_reference_values(self):
         # values frozen from a previous process; guards cross-run determinism
         grid = ObservationGrid.uniform(4, 0.5, 2)
-        got = make_noise_path(1, 0, grid).increments[:4]
+        got = make_noise_path(1, 0, grid)[:4]
         expected = [0.510143988680365, 0.37985659478025835,
                     -0.12291895136756412, 0.2210379233268846]
         assert np.array_equal(got, expected)
@@ -37,29 +36,34 @@ class TestNoisePath:
         grid = ObservationGrid.uniform(10, 0.1, 4)
         a = make_noise_path(1, 0, grid)
         b = make_noise_path(1, 1, grid)
-        assert not np.array_equal(a.increments, b.increments)
+        assert not np.array_equal(a, b)
 
     def test_seed_changes_stream(self):
         grid = ObservationGrid.uniform(10, 0.1, 4)
-        assert not np.array_equal(make_noise_path(1, 0, grid).increments,
-                                  make_noise_path(2, 0, grid).increments)
+        assert not np.array_equal(make_noise_path(1, 0, grid),
+                                  make_noise_path(2, 0, grid))
 
     def test_increment_variance_matches_substep_width(self):
         # law of large numbers: 1e6 pooled increments with dt = 0.01
         grid = ObservationGrid.uniform(10_000, 0.01 * 100, 100)
-        inc = make_noise_path(5, 0, grid).increments
+        inc = make_noise_path(5, 0, grid)
         assert len(inc) == 1_000_000
         assert np.var(inc) == pytest.approx(0.01, rel=0.01)
 
     def test_increment_mean_near_zero(self):
         grid = ObservationGrid.uniform(1000, 0.01 * 100, 100)
-        inc = make_noise_path(9, 0, grid).increments
+        inc = make_noise_path(9, 0, grid)
         se = np.std(inc) / math.sqrt(len(inc))
         assert abs(np.mean(inc)) < 5 * se
 
     def test_nonuniform_grid_widths(self):
+        # each interval's increments are the stream's normals scaled by the
+        # square root of that interval's substep width
         grid = ObservationGrid([0.0, 0.1, 0.4], substeps_per_interval=2)
-        assert np.allclose(grid.substep_widths(), [0.05, 0.05, 0.15, 0.15])
+        normals = philox_generator(1, 0).standard_normal(4)
+        np.testing.assert_allclose(make_noise_path(1, 0, grid),
+                                   normals * np.sqrt([0.05, 0.05, 0.15, 0.15]),
+                                   rtol=1e-15, atol=0)
 
     def test_invalid_seed(self):
         grid = ObservationGrid.uniform(2, 0.1)
@@ -78,20 +82,19 @@ class TestNoisePath:
             philox_generator(seed, stream_id)
 
     @settings(max_examples=50, deadline=None, database=None)
-    @given(cuts=st.lists(st.integers(0, 84), max_size=8),
+    @given(cuts=st.lists(st.integers(0, 21), max_size=8),
            seed=st.integers(0, 2 ** 64 - 1))
     def test_chunked_draws_equal_the_one_shot_path(self, cuts, seed):
-        # 21 intervals of 4 substeps, cut anywhere: chunk edges need not fall
-        # on interval boundaries
+        # 21 intervals of 4 substeps and three widths, cut between any
+        # intervals; a repeated cut gives an empty draw
         grid = ObservationGrid(np.cumsum([0.0] + [0.1, 0.3, 0.05] * 7), 4)
-        widths = grid.substep_widths()
         rngs = [philox_generator(seed, stream) for stream in range(3)]
-        edges = [0] + sorted(cuts) + [len(widths)]
-        joined = np.hstack([draw_increments(rngs, widths[lo:hi])
+        edges = [0] + sorted(cuts) + [grid.n_intervals]
+        joined = np.hstack([draw_increments(rngs, grid.dts[lo:hi], 4)
                             for lo, hi in zip(edges, edges[1:])])
-        assert joined.shape == (3, len(widths))
+        assert joined.shape == (3, grid.total_substeps)
         for stream in range(3):
-            want = make_noise_path(seed, stream, grid).increments
+            want = make_noise_path(seed, stream, grid)
             assert joined[stream].tobytes() == want.tobytes()
 
 

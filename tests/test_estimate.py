@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from skestim import (DriftModel, IdentifiabilityError, MODELS,
                      ObservationGrid, ParameterSpace, Scheme, SystemParams,
-                     Trajectory, make_noise_path, minimize_closed_form,
+                     Trajectory, minimize_closed_form,
                      minimize_golden, objective, simulate_coupled,
                      simulate_overdamped, uniform_objective_gap)
+from skestim.core import philox_generator
 from skestim.estimate import (clipped_vertex, path_coefficients,
                               quadratic_coefficients)
 
@@ -27,8 +28,7 @@ def hand_trajectory():
 def simulate_ou_dataset(seed, n=50, dt=0.1, sigma=0.3, theta=1.0):
     grid = ObservationGrid.uniform(n, dt, 1)
     p = SystemParams(mass=1.0, friction=1.0, noise=sigma, x0=1.0)
-    noise = make_noise_path(seed, 0, grid)
-    return simulate_overdamped(OU, theta, p, grid, noise)
+    return simulate_overdamped(OU, theta, p, grid, philox_generator(seed, 0))
 
 
 class TestObjective:
@@ -103,6 +103,25 @@ class TestClosedForm:
         with pytest.raises(IdentifiabilityError):
             minimize_closed_form(traj, OU, 1.0, ParameterSpace(-1.0, 1.0))
 
+    @pytest.mark.parametrize("model", [OU, CONST_FORCE])
+    def test_overflowing_coefficients_are_a_friction_error(self, model):
+        # friction 1e-307 passes the friction checks, but (dt / friction)^2
+        # overflows A: a ValueError naming the friction, without a warning,
+        # not an IdentifiabilityError saying b1 vanishes
+        grid = ObservationGrid([0.0, 1.0, 2.0])
+        traj = Trajectory(grid=grid, positions=np.array([1.0, 2.0, 1.5]))
+        with pytest.raises(ValueError, match="friction"):
+            minimize_closed_form(traj, model, 1e-307, ParameterSpace(0.0, 1.0))
+
+    def test_clipped_vertex_tells_overflow_from_vanishing_b1(self):
+        space = ParameterSpace(0.0, 1.0)
+        for a, b in [(math.inf, 1.0), (1.0, -math.inf), (math.inf, math.nan),
+                     (math.nan, 0.0)]:
+            with pytest.raises(ValueError, match="friction"):
+                clipped_vertex(a, b, space)
+        with pytest.raises(IdentifiabilityError, match="vanishes"):
+            clipped_vertex(0.0, 1.0, space)
+
     def test_zero_noise_recovers_theta_exactly(self):
         # sigma=0 data from the overdamped Euler scheme on the observation
         # grid: residuals vanish identically at the true theta
@@ -111,10 +130,7 @@ class TestClosedForm:
             gamma = 1 / 6 if model_name == "colloidal" else 1.0
             grid = ObservationGrid.uniform(200, 0.05, 1)
             p = SystemParams(mass=1.0, friction=gamma, noise=0.0, x0=x0)
-            noise = make_noise_path(0, 0, grid)
-            noise = type(noise)(increments=np.zeros_like(noise.increments),
-                                seed=0, stream_id=0)
-            traj = simulate_overdamped(model, theta0, p, grid, noise)
+            traj = simulate_overdamped(model, theta0, p, grid, philox_generator(0, 0))
             res = minimize_closed_form(traj, model, gamma,
                                        ParameterSpace(theta0 - 1.0, theta0 + 1.0))
             assert res.theta_hat == pytest.approx(theta0, abs=1e-10)
@@ -234,7 +250,7 @@ def test_golden_agrees_with_closed_form_on_random_paths(name, seed, n, frac,
     grid = ObservationGrid.uniform(n, 0.1, 1)
     p = SystemParams(mass=1.0, friction=friction, noise=sigma, x0=x0)
     traj = simulate_overdamped(model, lo + frac * (hi - lo), p, grid,
-                               make_noise_path(seed, 0, grid))
+                               philox_generator(seed, 0))
     if name == "zero-drift":
         with pytest.raises(IdentifiabilityError):
             minimize_closed_form(traj, model, friction, space)
@@ -265,8 +281,7 @@ class TestUniformObjectiveGap:
         grid = ObservationGrid.uniform(n, 0.1, 20)
         model = MODELS["colloidal"]()
         p = SystemParams(mass=mu, friction=1 / 6, noise=10.0, x0=0.0, v0=0.0)
-        return simulate_coupled(model, 0.02, p, grid, EXP,
-                                make_noise_path(12, 0, grid)), model
+        return simulate_coupled(model, 0.02, p, grid, EXP, 12, 0), model
 
     def test_identical_trajectories_zero_gap(self):
         traj = simulate_ou_dataset(seed=1)

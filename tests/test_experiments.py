@@ -6,9 +6,10 @@ import pytest
 import skestim.experiments as experiments
 from skestim import (MODELS, DivergenceError, DriftModel, ObservationGrid,
                      ParameterSpace, Scheme, SweepConfig, SystemParams,
-                     make_noise_path, minimize_closed_form, objective,
+                     minimize_closed_form, objective,
                      run_consistency_sweep, run_figure1, run_gamma_diagnostic,
                      simulate_coupled, simulate_underdamped)
+from skestim.core import philox_generator
 
 
 def small_sweep_config(**overrides):
@@ -111,16 +112,17 @@ class TestConsistencySweep:
                 grid = ObservationGrid.uniform(n, cfg.delta * math.sqrt(n) / n,
                                                cfg.substeps)
                 for rep in range(cfg.replicates):
-                    noise = make_noise_path(cfg.base_seed,
-                                            experiments._stream_id(i_mu, i_n, rep), grid)
+                    stream = experiments._stream_id(i_mu, i_n, rep)
                     traj = simulate_underdamped(model, cfg.theta_true, params, grid,
-                                                Scheme.EXPONENTIAL_VELOCITY, noise)
+                                                Scheme.EXPONENTIAL_VELOCITY,
+                                                philox_generator(cfg.base_seed, stream))
                     want = minimize_closed_form(traj, model, cfg.gamma, cfg.space)
                     row = rows[mu, n, rep]
                     assert row.theta_hat == want.theta_hat
                     if rep == 0:
                         coupled = simulate_coupled(model, cfg.theta_true, params, grid,
-                                                   Scheme.EXPONENTIAL_VELOCITY, noise)
+                                                   Scheme.EXPONENTIAL_VELOCITY,
+                                                   cfg.base_seed, stream)
                         assert row.sup_distance == coupled.sup_distance
 
     def test_diverging_replicate_is_one_error_row(self, monkeypatch):
@@ -142,9 +144,20 @@ class TestConsistencySweep:
         params = SystemParams(mass=0.1, friction=1.0, noise=1.0, x0=0.5)
         with pytest.raises(DivergenceError) as scalar:
             simulate_underdamped(cubic, 1.0, params, grid, Scheme.EXPONENTIAL_VELOCITY,
-                                 make_noise_path(3, experiments._stream_id(0, 0, 3), grid))
+                                 philox_generator(3, experiments._stream_id(0, 0, 3)))
         assert failed[0].error == f"DivergenceError: {scalar.value}"
         assert all(math.isfinite(r.theta_hat) for r in rows if r.error is None)
+
+    def test_overflowing_fit_is_an_error_row(self):
+        # constant force at theta 0 without noise keeps every path at x0, and
+        # (dt / friction)^2 overflows A: each replicate is an error row
+        rows = run_consistency_sweep(small_sweep_config(
+            model_id="constant-force", theta_true=0.0, sigma=0.0, gamma=1e-307,
+            space=ParameterSpace(0.0, 1.0)))
+        assert len(rows) == 2 * 2 * 3
+        for row in rows:
+            assert row.error.startswith("ValueError: the objective's coefficients overflow")
+            assert "friction" in row.error
 
     def test_rejects_counts_wider_than_stream_fields(self):
         # _stream_id packs the n index and the replicate into 20 bits each;

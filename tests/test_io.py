@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -102,6 +104,54 @@ def test_no_temp_files_left_behind(tmp_path):
     traj = Trajectory(grid=grid, positions=np.array([0.0, 2.0]))
     io.write_trajectory_csv(str(tmp_path / "a.csv"), traj)
     assert [p.name for p in tmp_path.iterdir()] == ["a.csv"]
+
+
+def underdamped_trajectory(n):
+    rng = np.random.default_rng(5)
+    return Trajectory(grid=ObservationGrid.uniform(n - 1, 0.01),
+                      positions=np.cumsum(rng.standard_normal(n)),
+                      velocities=rng.standard_normal(n) * 1e3)
+
+
+def test_trajectory_write_memory_is_bounded(tmp_path):
+    # 1e5 rows are 5.5 MB of text; the writer holds one chunk of rows at a
+    # time, not every row and their join (21 MB when it did)
+    traj = underdamped_trajectory(100_000)
+    tracemalloc.start()
+    try:
+        io.write_trajectory_csv(str(tmp_path / "traj.csv"), traj)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "traj.csv").stat().st_size > 5_000_000
+    assert peak < 6_000_000
+
+
+class FailsAtRow(np.ndarray):
+    """A column whose slices from row `fail_at` on raise, as if the write
+    failed partway; records the temporary file's size when it does."""
+
+    def __getitem__(self, key):
+        if isinstance(key, slice) and (key.start or 0) >= self.fail_at:
+            self.written = [p.stat().st_size for p in self.directory.glob(".tmp-*")]
+            raise OSError("synthetic failure partway through the write")
+        return np.asarray(self)[key]
+
+
+def test_failed_streamed_write_leaves_the_target_unchanged(tmp_path, monkeypatch):
+    target = tmp_path / "traj.csv"
+    target.write_bytes(b"t,x\n0,1\n")
+    monkeypatch.setattr(io, "_CHUNK_ROWS", 100)
+    traj = underdamped_trajectory(1_000)
+    column = traj.velocities.view(FailsAtRow)
+    column.fail_at, column.directory = 500, tmp_path
+    object.__setattr__(traj, "velocities", column)
+    with pytest.raises(OSError, match="partway"):
+        io.write_trajectory_csv(str(target), traj)
+    # rows had reached the temporary file before the failure
+    assert len(column.written) == 1 and column.written[0] > 0
+    assert target.read_bytes() == b"t,x\n0,1\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["traj.csv"]
 
 
 class TestConfigParser:

@@ -7,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from skestim import (CoupledRunResult, DivergenceError, DriftModel,
                      MODELS, ObservationGrid, Scheme,
-                     SystemParams, make_noise_path, simulate_coupled,
+                     SystemParams, simulate_coupled,
                      simulate_overdamped, simulate_underdamped)
-from skestim.core import philox_generator
+from skestim import simulate
+from skestim.core import draw_increments, philox_generator
 from skestim.simulate import simulate_underdamped_batch
 
 EXP = Scheme.EXPONENTIAL_VELOCITY
@@ -18,19 +19,13 @@ ZERO = MODELS["zero-drift"]()
 OU = MODELS["ou"]()
 
 
-def zero_noise(grid):
-    path = make_noise_path(0, 0, grid)
-    return type(path)(increments=np.zeros_like(path.increments),
-                      seed=0, stream_id=0)
-
-
 class TestUnderdamped:
 
     @pytest.mark.parametrize("scheme,mu", [(EXP, 1.0), (EXP, 1e-3), (EM, 1.0)])
     def test_equilibrium(self, scheme, mu):
         grid = ObservationGrid.uniform(20, 0.05, 2)
         p = SystemParams(mass=mu, friction=1.0, noise=0.0, x0=3.0, v0=0.0)
-        traj = simulate_underdamped(ZERO, 0.0, p, grid, scheme, zero_noise(grid))
+        traj = simulate_underdamped(ZERO, 0.0, p, grid, scheme, philox_generator(0, 0))
         assert np.all(traj.positions == 3.0)
         assert np.all(traj.velocities == 0.0)
 
@@ -39,7 +34,7 @@ class TestUnderdamped:
         # the exponential scheme integrates this linear flow exactly
         grid = ObservationGrid.uniform(10, 0.2, 4)
         p = SystemParams(mass=1.0, friction=1.0, noise=0.0, x0=0.5, v0=1.0)
-        traj = simulate_underdamped(ZERO, 0.0, p, grid, EXP, zero_noise(grid))
+        traj = simulate_underdamped(ZERO, 0.0, p, grid, EXP, philox_generator(0, 0))
         t = grid.times
         assert np.allclose(traj.velocities, np.exp(-t), atol=1e-13)
         assert np.allclose(traj.positions, 0.5 + 1.0 - np.exp(-t), atol=1e-13)
@@ -49,7 +44,7 @@ class TestUnderdamped:
         errs = []
         for substeps in [10, 20, 40]:
             grid = ObservationGrid.uniform(5, 0.2, substeps)
-            traj = simulate_underdamped(ZERO, 0.0, p, grid, EM, zero_noise(grid))
+            traj = simulate_underdamped(ZERO, 0.0, p, grid, EM, philox_generator(0, 0))
             errs.append(abs(traj.velocities[-1] - math.exp(-1.0)))
         assert errs[0] > errs[1] > errs[2]
         # roughly halves per refinement
@@ -58,22 +53,21 @@ class TestUnderdamped:
     def test_exponential_matches_analytic_at_fine_steps(self):
         grid = ObservationGrid.uniform(10, 0.1, 1000)  # substep 1e-4
         p = SystemParams(mass=1.0, friction=1.0, noise=0.0, x0=0.0, v0=1.0)
-        traj = simulate_underdamped(ZERO, 0.0, p, grid, EXP, zero_noise(grid))
+        traj = simulate_underdamped(ZERO, 0.0, p, grid, EXP, philox_generator(0, 0))
         assert abs(traj.positions[-1] - (1.0 - math.exp(-1.0))) < 1e-6
 
     def test_euler_stability_guard(self):
         grid = ObservationGrid.uniform(10, 0.1, 1)  # substep 0.1 >= mu/(2 gamma)
         p = SystemParams(mass=0.1, friction=1.0, noise=0.0, x0=0.0, v0=1.0)
         with pytest.raises(ValueError, match="stability guard"):
-            simulate_underdamped(ZERO, 0.0, p, grid, EM, zero_noise(grid))
+            simulate_underdamped(ZERO, 0.0, p, grid, EM, philox_generator(0, 0))
 
     def test_stationary_velocity_variance(self):
         # fluctuation-dissipation: var(v) -> sigma^2 / (2 gamma mu)
         mu, gamma, sigma = 1e-3, 1.0 / 6.0, 10.0
         grid = ObservationGrid.uniform(5000, 0.01, 10)  # substep 1e-3, T=50
         p = SystemParams(mass=mu, friction=gamma, noise=sigma, x0=0.0, v0=0.0)
-        noise = make_noise_path(3, 0, grid)
-        traj = simulate_underdamped(ZERO, 0.0, p, grid, EXP, noise)
+        traj = simulate_underdamped(ZERO, 0.0, p, grid, EXP, philox_generator(3, 0))
         v = traj.velocities[100:]  # burn-in ~ 1 s >> mu/gamma
         target = sigma ** 2 / (2.0 * gamma * mu)
         assert np.var(v) == pytest.approx(target, rel=0.05)
@@ -82,13 +76,13 @@ class TestUnderdamped:
         grid = ObservationGrid.uniform(500, 0.01, 10)
         p = SystemParams(mass=1e-3, friction=1 / 6, noise=10.0, x0=0.0, v0=0.0)
         traj = simulate_underdamped(MODELS["colloidal"](), 0.02, p, grid, EXP,
-                                    make_noise_path(4, 0, grid))
+                                    philox_generator(4, 0))
         assert np.all(np.isfinite(traj.positions))
 
     def test_observation_times_equal_grid(self):
         grid = ObservationGrid([0.0, 0.1, 0.35, 0.5], 3)
         p = SystemParams(mass=1.0, friction=1.0, noise=1.0, x0=0.0, v0=0.0)
-        traj = simulate_underdamped(OU, 1.0, p, grid, EXP, make_noise_path(1, 0, grid))
+        traj = simulate_underdamped(OU, 1.0, p, grid, EXP, philox_generator(1, 0))
         assert traj.times is grid.times
 
     @pytest.mark.parametrize("sigma", [0.0, 1.0])
@@ -98,9 +92,9 @@ class TestUnderdamped:
         grid = ObservationGrid.uniform(5, 0.01, 10)
         p = SystemParams(mass=1.0, friction=1e-321, noise=sigma, x0=1.0, v0=0.0)
         with pytest.raises(ValueError, match="friction"):
-            simulate_underdamped(OU, 1.0, p, grid, EXP, make_noise_path(1, 0, grid))
+            simulate_underdamped(OU, 1.0, p, grid, EXP, philox_generator(1, 0))
         with pytest.raises(ValueError, match="friction"):
-            simulate_overdamped(OU, 1.0, p, grid, make_noise_path(1, 0, grid))
+            simulate_overdamped(OU, 1.0, p, grid, philox_generator(1, 0))
 
     @pytest.mark.parametrize("friction", [1e-310, 5e-309])
     def test_friction_overflowing_its_quotients_is_rejected(self, friction):
@@ -109,9 +103,9 @@ class TestUnderdamped:
         grid = ObservationGrid.uniform(5, 0.01, 10)
         p = SystemParams(mass=1.0, friction=friction, noise=1.0, x0=1.0)
         with pytest.raises(ValueError, match="friction"):
-            simulate_underdamped(OU, 1.0, p, grid, EXP, make_noise_path(1, 0, grid))
+            simulate_underdamped(OU, 1.0, p, grid, EXP, philox_generator(1, 0))
         with pytest.raises(ValueError, match="friction"):
-            simulate_overdamped(OU, 1.0, p, grid, make_noise_path(1, 0, grid))
+            simulate_overdamped(OU, 1.0, p, grid, philox_generator(1, 0))
         with pytest.raises(ValueError, match="friction"):
             simulate_underdamped_batch(OU, 1.0, p, grid, [philox_generator(1, 0)])
 
@@ -119,29 +113,22 @@ class TestUnderdamped:
         grid = ObservationGrid.uniform(5, 0.01, 1)
         p = SystemParams(mass=1e300, friction=1e-10, noise=1.0, x0=1.0)
         with pytest.raises(ValueError, match="friction"):
-            simulate_underdamped(OU, 1.0, p, grid, EXP, make_noise_path(1, 0, grid))
-        simulate_overdamped(OU, 1.0, p, grid, make_noise_path(1, 0, grid))
+            simulate_underdamped(OU, 1.0, p, grid, EXP, philox_generator(1, 0))
+        simulate_overdamped(OU, 1.0, p, grid, philox_generator(1, 0))
 
     @pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
     def test_non_finite_theta_is_rejected(self, theta):
         grid = ObservationGrid.uniform(5, 0.01, 2)
         p = SystemParams(mass=1.0, friction=1.0, noise=1.0, x0=1.0)
-        noise = make_noise_path(1, 0, grid)
-        for run in (lambda m: simulate_underdamped(m, theta, p, grid, EXP, noise),
-                    lambda m: simulate_underdamped(m, theta, p, grid, EM, noise),
-                    lambda m: simulate_overdamped(m, theta, p, grid, noise),
+        rng = philox_generator(1, 0)
+        for run in (lambda m: simulate_underdamped(m, theta, p, grid, EXP, rng),
+                    lambda m: simulate_underdamped(m, theta, p, grid, EM, rng),
+                    lambda m: simulate_overdamped(m, theta, p, grid, rng),
                     lambda m: simulate_underdamped_batch(
                         m, theta, p, grid, [philox_generator(1, 0)])):
             for model in (OU, ZERO):
                 with pytest.raises(ValueError, match="theta"):
                     run(model)
-
-    def test_noise_length_mismatch(self):
-        grid = ObservationGrid.uniform(10, 0.1, 2)
-        other = ObservationGrid.uniform(10, 0.1, 3)
-        p = SystemParams(mass=1.0, friction=1.0, noise=1.0)
-        with pytest.raises(ValueError, match="increments"):
-            simulate_underdamped(OU, 1.0, p, grid, EXP, make_noise_path(1, 0, other))
 
 
 class TestOverdamped:
@@ -152,7 +139,7 @@ class TestOverdamped:
         model = DriftModel("const", lambda x: 0.0, lambda x: 0.0, gamma * c)
         grid = ObservationGrid([0.0, 0.125, 0.25, 1.0], 2)
         p = SystemParams(mass=1.0, friction=gamma, noise=0.0, x0=1.5)
-        traj = simulate_overdamped(model, 0.0, p, grid, zero_noise(grid))
+        traj = simulate_overdamped(model, 0.0, p, grid, philox_generator(0, 0))
         assert np.allclose(traj.positions, 1.5 + c * grid.times, atol=1e-14)
         assert traj.velocities is None
 
@@ -162,7 +149,7 @@ class TestOverdamped:
         errs = []
         for substeps in [1, 10, 100]:
             grid = ObservationGrid.uniform(10, 0.1, substeps)
-            traj = simulate_overdamped(OU, 1.0, p, grid, zero_noise(grid))
+            traj = simulate_overdamped(OU, 1.0, p, grid, philox_generator(0, 0))
             errs.append(abs(traj.positions[-1] - math.exp(-1.0)))
         assert errs[0] > errs[1] > errs[2]
         # first-order Euler: error ~ (substep/2) e^-1 = 1.8e-4 at substep 1e-3
@@ -174,7 +161,7 @@ class TestOverdamped:
         p = SystemParams(mass=1.0, friction=1.0, noise=1.0, x0=1.0)
         finals = np.array([
             simulate_overdamped(OU, 1.0, p, grid,
-                                make_noise_path(2024, rep, grid)).positions[-1]
+                                philox_generator(2024, rep)).positions[-1]
             for rep in range(10_000)])
         exact = math.exp(-1.0)
         se = finals.std(ddof=1) / math.sqrt(len(finals))
@@ -191,7 +178,7 @@ class TestOverdamped:
             grid = ObservationGrid.uniform(4, 0.25, substeps)
             mean = np.mean([
                 simulate_overdamped(OU, theta, p, grid,
-                                    make_noise_path(77, rep, grid)).positions[-1]
+                                    philox_generator(77, rep)).positions[-1]
                 for rep in range(reps)])
             errors.append(abs(mean - exact))
         assert errors[0] > errors[1] > errors[2]
@@ -205,7 +192,7 @@ class TestOverdamped:
         grid = ObservationGrid.uniform(50, 1.0, 1)
         p = SystemParams(mass=1.0, friction=1.0, noise=0.0, x0=3.0)
         with pytest.raises(DivergenceError, match="substep"):
-            simulate_overdamped(cubic, 1.0, p, grid, zero_noise(grid))
+            simulate_overdamped(cubic, 1.0, p, grid, philox_generator(0, 0))
 
 
 class TestCoupled:
@@ -213,33 +200,32 @@ class TestCoupled:
     def test_degenerate_zero(self):
         grid = ObservationGrid.uniform(10, 0.1, 2)
         p = SystemParams(mass=0.5, friction=1.0, noise=0.0, x0=1.0, v0=0.0)
-        res = simulate_coupled(ZERO, 0.0, p, grid, EXP, zero_noise(grid))
+        res = simulate_coupled(ZERO, 0.0, p, grid, EXP, 0, 0)
         assert res.sup_distance == 0.0
 
     def test_sup_distance_matches_recomputation(self):
         grid = ObservationGrid.uniform(100, 0.05, 4)
         p = SystemParams(mass=0.05, friction=1.0, noise=1.0, x0=0.0, v0=0.0)
-        res = simulate_coupled(OU, 1.0, p, grid, EXP, make_noise_path(8, 0, grid))
+        res = simulate_coupled(OU, 1.0, p, grid, EXP, 8, 0)
         recomputed = np.max(np.abs(res.underdamped.positions - res.overdamped.positions))
         assert res.sup_distance == recomputed
 
     def test_colloidal_small_mass_trend(self):
-        # shared noise path; distance shrinks as mass decreases
+        # one noise stream for every mass; distance shrinks as mass decreases
         grid = ObservationGrid.uniform(1000, 0.01, 10)
-        noise = make_noise_path(1, 0, grid)
         model = MODELS["colloidal"]()
         sups = []
         for mu in [1e-1, 1e-2, 1e-3]:
             p = SystemParams(mass=mu, friction=1 / 6, noise=10.0, x0=0.0, v0=0.0)
-            sups.append(simulate_coupled(model, 0.02, p, grid, EXP, noise).sup_distance)
+            sups.append(simulate_coupled(model, 0.02, p, grid, EXP, 1, 0).sup_distance)
         assert sups[0] > sups[1] > sups[2]
 
     def test_deterministic_repeat(self):
         grid = ObservationGrid.uniform(200, 0.01, 5)
         p = SystemParams(mass=1e-2, friction=1 / 6, noise=10.0, x0=0.0, v0=0.0)
         model = MODELS["colloidal"]()
-        a = simulate_coupled(model, 0.02, p, grid, EXP, make_noise_path(6, 0, grid))
-        b = simulate_coupled(model, 0.02, p, grid, EXP, make_noise_path(6, 0, grid))
+        a = simulate_coupled(model, 0.02, p, grid, EXP, 6, 0)
+        b = simulate_coupled(model, 0.02, p, grid, EXP, 6, 0)
         assert a.sup_distance == b.sup_distance
         assert np.array_equal(a.underdamped.positions, b.underdamped.positions)
 
@@ -257,22 +243,26 @@ class TestBatch:
     @given(model_id=st.sampled_from(["ou", "constant-force", "zero-drift", "colloidal"]),
            replicates=st.integers(1, 5), n=st.integers(1, 40),
            substeps=st.integers(1, 70), mu=st.floats(1e-4, 1.0),
-           seed=st.integers(0, 2 ** 64 - 1), x0=st.floats(-2.0, 2.0))
+           seed=st.integers(0, 2 ** 64 - 1), x0=st.floats(-2.0, 2.0),
+           draw_doubles=st.integers(1, 600))
     def test_rows_equal_the_scalar_loop(self, model_id, replicates, n, substeps,
-                                        mu, seed, x0):
-        # n * substeps spans several noise chunks, and a chunk can hold a
-        # single interval
+                                        mu, seed, x0, draw_doubles):
+        # a small draw budget splits n * substeps into several draws, some of
+        # a single interval, at different edges in the batch and the scalar loop
         model = MODELS[model_id]()
         gamma, sigma, theta = (1 / 6, 10.0, 0.02) if model_id == "colloidal" else (1.0, 1.0, 1.3)
         grid = ObservationGrid.uniform(n, 0.01, substeps)
         p = SystemParams(mass=mu, friction=gamma, noise=sigma, x0=x0, v0=0.5)
-        positions, errors = simulate_underdamped_batch(
-            model, theta, p, grid, [philox_generator(seed, r) for r in range(replicates)])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulate, "_DRAW_DOUBLES", draw_doubles)
+            positions, errors = simulate_underdamped_batch(
+                model, theta, p, grid, [philox_generator(seed, r) for r in range(replicates)])
+            wants = [simulate_underdamped(model, theta, p, grid, EXP,
+                                          philox_generator(seed, r)).positions
+                     for r in range(replicates)]
         assert positions.shape == (replicates, n + 1)
         assert errors == [None] * replicates
-        for r in range(replicates):
-            want = simulate_underdamped(model, theta, p, grid, EXP,
-                                        make_noise_path(seed, r, grid)).positions
+        for r, want in enumerate(wants):
             if model_id == "colloidal":
                 # vector np.exp and math.exp differ by an ulp on some inputs
                 np.testing.assert_allclose(positions[r], want, rtol=1e-12, atol=0)
@@ -288,12 +278,12 @@ class TestBatch:
             CUBIC, 1.0, p, grid, [philox_generator(3, r) for r in range(4)])
         assert [e is None for e in errors] == [True, True, True, False]
         with pytest.raises(DivergenceError) as scalar:
-            simulate_underdamped(CUBIC, 1.0, p, grid, EXP, make_noise_path(3, 3, grid))
+            simulate_underdamped(CUBIC, 1.0, p, grid, EXP, philox_generator(3, 3))
         assert isinstance(errors[3], DivergenceError)
         assert str(errors[3]) == str(scalar.value)
         for r in range(3):
             want = simulate_underdamped(CUBIC, 1.0, p, grid, EXP,
-                                        make_noise_path(3, r, grid)).positions
+                                        philox_generator(3, r)).positions
             assert positions[r].tobytes() == want.tobytes()
 
 
@@ -330,21 +320,67 @@ FROZEN_DIGESTS = {
 FROZEN_PARAMS = {"colloidal": (1 / 6, 10.0, 0.02, 0.5), "ou": (1.0, 1.0, 1.0, 1.0)}
 
 
-@pytest.mark.parametrize("model_id,substeps,scheme", sorted(FROZEN_DIGESTS))
-def test_frozen_outputs(model_id, substeps, scheme):
+def frozen_digest(model_id, substeps, scheme):
     gamma, sigma, theta, x0 = FROZEN_PARAMS[model_id]
     model = MODELS[model_id]()
     grid = ObservationGrid.uniform(200, 0.01, substeps)
-    noise = make_noise_path(13, substeps, grid)
+    rng = philox_generator(13, substeps)
     if scheme == "overdamped":
         p = SystemParams(mass=1.0, friction=gamma, noise=sigma, x0=x0)
-        traj = simulate_overdamped(model, theta, p, grid, noise)
+        traj = simulate_overdamped(model, theta, p, grid, rng)
     else:
         # Euler at a mass its stability guard admits at one substep
         mu = 1e-3 if scheme == EXP.value else 0.1
         p = SystemParams(mass=mu, friction=gamma, noise=sigma, x0=x0, v0=0.0)
-        traj = simulate_underdamped(model, theta, p, grid, Scheme(scheme), noise)
+        traj = simulate_underdamped(model, theta, p, grid, Scheme(scheme), rng)
     digest = hashlib.sha256(traj.positions.astype("<f8").tobytes())
     if traj.velocities is not None:
         digest.update(traj.velocities.astype("<f8").tobytes())
-    assert digest.hexdigest() == FROZEN_DIGESTS[model_id, substeps, scheme]
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("model_id,substeps,scheme", sorted(FROZEN_DIGESTS))
+def test_frozen_outputs(model_id, substeps, scheme):
+    assert frozen_digest(model_id, substeps, scheme) == FROZEN_DIGESTS[model_id, substeps, scheme]
+
+
+@pytest.mark.parametrize("model_id,substeps,scheme", sorted(FROZEN_DIGESTS))
+def test_frozen_outputs_in_small_draws(monkeypatch, model_id, substeps, scheme):
+    # 23 doubles a draw: the 200 intervals take 9 draws at one substep and
+    # 100 draws of two intervals at ten
+    monkeypatch.setattr(simulate, "_DRAW_DOUBLES", 23)
+    assert frozen_digest(model_id, substeps, scheme) == FROZEN_DIGESTS[model_id, substeps, scheme]
+
+
+def test_no_draw_exceeds_the_budget(monkeypatch):
+    # long grids: every run draws its noise in several pieces, together
+    # exactly the noise of its grid, and no piece above the budget
+    sizes = []
+
+    def spy(rngs, dts, substeps):
+        out = draw_increments(rngs, dts, substeps)
+        sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(simulate, "draw_increments", spy)
+    model = MODELS["colloidal"]()
+    grid = ObservationGrid.uniform(20_000, 0.01, 10)
+    p = SystemParams(mass=1e-3, friction=1 / 6, noise=10.0)
+    batch_grid = ObservationGrid.uniform(20_000, 0.01, 1)
+    runs = [
+        (lambda: simulate_underdamped(model, 0.02, p, grid, EXP, philox_generator(1, 0)),
+         grid.total_substeps),
+        (lambda: simulate_underdamped(model, 0.02, p, grid, EM, philox_generator(1, 0)),
+         grid.total_substeps),
+        (lambda: simulate_overdamped(model, 0.02, p, grid, philox_generator(1, 0)),
+         grid.total_substeps),
+        (lambda: simulate_underdamped_batch(
+            OU, 1.0, p, batch_grid, [philox_generator(1, r) for r in range(8)]),
+         8 * batch_grid.total_substeps),
+    ]
+    for run, doubles in runs:
+        sizes.clear()
+        run()
+        assert len(sizes) > 1
+        assert max(sizes) <= simulate._DRAW_DOUBLES
+        assert sum(sizes) == doubles
