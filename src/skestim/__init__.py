@@ -33,9 +33,7 @@ from .experiments import (
     run_gamma_diagnostic,
 )
 from .simulate import (
-    CoupledRunResult,
     Scheme,
-    simulate_coupled,
     simulate_overdamped,
     simulate_underdamped,
 )

@@ -147,32 +147,31 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
+# config key -> converter. A key the file leaves out takes its default from
+# _SWEEP_DEFAULTS, else from SweepConfig; a key with neither is required.
+_SWEEP_KEYS = {
+    "mu_values": io.parse_float_list, "n_values": io.parse_int_list, "delta": float,
+    "replicates": int, "base_seed": int, "model": str, "theta_true": float,
+    "theta_lo": float, "theta_hi": float, "gamma": float, "sigma": float,
+    "x0": float, "v0": float, "substeps": int,
+}
+_SWEEP_DEFAULTS = {"delta": 1.0, "replicates": 1, "base_seed": 0}
+
+
 def _sweep_config_from_file(args) -> SweepConfig:
     raw = io.parse_config_file(args.config)
-    known = {"mu_values", "n_values", "delta", "replicates", "base_seed",
-             "model", "theta_true", "theta_lo", "theta_hi", "gamma", "sigma",
-             "x0", "v0", "substeps"}
     for key in raw:
-        if key not in known:
+        if key not in _SWEEP_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
-    return SweepConfig(
-        mu_values=io.config_get(raw, "mu_values", io.parse_float_list),
-        n_values=io.config_get(raw, "n_values", io.parse_int_list),
-        delta=io.config_get(raw, "delta", float, 1.0),
-        replicates=(args.replicates if args.replicates is not None
-                    else io.config_get(raw, "replicates", int, 1)),
-        base_seed=(args.base_seed if args.base_seed is not None
-                   else io.config_get(raw, "base_seed", int, 0)),
-        model_id=io.config_get(raw, "model", str),
-        theta_true=io.config_get(raw, "theta_true", float),
-        space=ParameterSpace(io.config_get(raw, "theta_lo", float),
-                             io.config_get(raw, "theta_hi", float)),
-        gamma=io.config_get(raw, "gamma", float, 1.0),
-        sigma=io.config_get(raw, "sigma", float, 1.0),
-        x0=io.config_get(raw, "x0", float, 1.0),
-        v0=io.config_get(raw, "v0", float, 0.0),
-        substeps=io.config_get(raw, "substeps", int, 4),
-    )
+    flags = {"replicates": args.replicates, "base_seed": args.base_seed}
+    values = {}
+    for key, convert in _SWEEP_KEYS.items():
+        default = _SWEEP_DEFAULTS.get(key, getattr(SweepConfig, key, None))
+        values[key] = (flags[key] if flags.get(key) is not None
+                       else io.config_get(raw, key, convert, default))
+    return SweepConfig(model_id=values.pop("model"),
+                       space=ParameterSpace(values.pop("theta_lo"), values.pop("theta_hi")),
+                       **values)
 
 
 def _cmd_sweep(args) -> int:
@@ -189,16 +188,18 @@ def _cmd_sweep(args) -> int:
                     if r.mu == mu and r.n == n and r.error is None]
             med = float(np.median(errs)) if errs else float("nan")
             print(f"{mu:>10g} {n:>8d} {med:>14.6g}")
-    return 0 if len(failures) < len(rows) else 2
+    # every row failed: exit as main would on the first row's exception
+    return 0 if len(failures) < len(rows) else _exit(rows[0].error_type)[0]
 
 
 def _cmd_figure1(args) -> int:
     traj, (thetas, curve), result = run_figure1(
         args.seed, n=args.n, dt=args.dt, substeps=args.substeps)
-    os.makedirs(args.out_dir, exist_ok=True)
-    traj_path = os.path.join(args.out_dir, "figure1_trajectory.csv")
-    curve_path = os.path.join(args.out_dir, "figure1_curve.csv")
-    result_path = os.path.join(args.out_dir, "figure1_result.txt")
+    out_dir = os.path.normpath(_out_path(args.out_dir))
+    os.makedirs(out_dir, exist_ok=True)
+    traj_path = os.path.join(out_dir, "figure1_trajectory.csv")
+    curve_path = os.path.join(out_dir, "figure1_curve.csv")
+    result_path = os.path.join(out_dir, "figure1_result.txt")
     io.write_trajectory_csv(traj_path, traj)
     io.write_curve_csv(curve_path, thetas, curve)
     result_line = (f"theta_hat={result.theta_hat:.17g} "
@@ -233,22 +234,26 @@ _COMMANDS = {
 }
 
 
+# exit code and stderr prefix per exception type; ConfigError is a ValueError
+_EXIT_CODES = {ValueError: (1, "error"), OSError: (1, "error"),
+               DivergenceError: (2, "divergence"),
+               IdentifiabilityError: (3, "identifiability")}
+
+
+def _exit(exc_type):
+    # the nearest base in the table; an exception main does not catch exits 1
+    return next((_EXIT_CODES[t] for t in exc_type.__mro__ if t in _EXIT_CODES),
+                (1, "error"))
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except DivergenceError as exc:
-        print(f"divergence: {exc}", file=sys.stderr)
-        return 2
-    except IdentifiabilityError as exc:
-        print(f"identifiability: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except tuple(_EXIT_CODES) as exc:
+        code, prefix = _exit(type(exc))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -138,6 +138,18 @@ class SystemParams:
             raise ValueError(f"noise must be >= 0, got {self.noise}")
 
 
+def check_friction(friction: float, widths: np.ndarray, **numerators: float):
+    """Raise ValueError unless friction is finite, friction * smallest step > 0,
+    and the largest step, 1 and each named numerator over friction are finite."""
+    # a subnormal friction passes SystemParams but can fail these
+    quotients = {"step": float(widths.max()), "1": 1.0, **numerators}
+    if not (math.isfinite(friction) and friction * float(widths.min()) > 0
+            and all(math.isfinite(c / friction) for c in quotients.values())):
+        raise ValueError(
+            f"friction must be finite, with friction * step > 0 and "
+            f"{', '.join(k + ' / friction' for k in quotients)} finite, got {friction}")
+
+
 class ObservationGrid:
     """Observation times 0 = t_0 < t_1 < ... < t_n = T plus a simulation
     refinement: the integrator takes `substeps_per_interval` internal steps

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DriftModel, IdentifiabilityError, Trajectory
+from .core import DriftModel, IdentifiabilityError, Trajectory, check_friction
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -46,14 +46,7 @@ class EstimationResult:
 def _residual_parts(x: np.ndarray, dts: np.ndarray, friction: float):
     """Previous positions, increments and drift scale dt / friction along the
     last axis of x: one path, or a block of paths one per row."""
-    # a subnormal friction passes the first two tests but overflows 1 / friction
-    # or dt / friction
-    if not (friction > 0 and math.isfinite(friction)
-            and math.isfinite(1.0 / friction)
-            and math.isfinite(float(dts.max()) / friction)):
-        raise ValueError(
-            f"friction must be finite and > 0 with 1 / friction and dt / friction "
-            f"finite, got {friction}")
+    check_friction(friction, dts)
     xprev = x[..., :-1]
     return xprev, x[..., 1:] - xprev, dts / friction
 
@@ -73,7 +66,8 @@ def path_coefficients(x: np.ndarray, dts: np.ndarray, model: DriftModel,
     along the last axis of the positions x: one path, or one path per row.
     A row's sums equal those of the same path alone, bit for bit. A sum
     that overflows, or a row that is not finite, gives a non-finite
-    coefficient without a warning; clipped_vertex reports it."""
+    coefficient without a warning; quadratic_coefficients and
+    clipped_vertex report it."""
     with np.errstate(over="ignore", invalid="ignore"):
         xprev, d, scale = _residual_parts(x, dts, friction)
         u = d - scale * model.b0
@@ -84,10 +78,19 @@ def path_coefficients(x: np.ndarray, dts: np.ndarray, model: DriftModel,
     return a, b, c
 
 
+def _check_coefficients(a: float, b: float):
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(
+            f"the objective's coefficients overflow (A={a:g}, B={b:g}): the "
+            "drift scale b1 * dt / friction is too large along this path for "
+            "the friction given")
+
+
 def quadratic_coefficients(traj: Trajectory, model: DriftModel,
                            friction: float):
     """Coefficients (A, B, C) with F(theta) = A theta^2 + B theta + C."""
     a, b, c = path_coefficients(traj.positions, traj.grid.dts, model, friction)
+    _check_coefficients(float(a), float(b))
     return float(a), float(b), float(c)
 
 
@@ -102,11 +105,7 @@ def objective_curve(traj: Trajectory, model: DriftModel, friction: float,
 def clipped_vertex(a: float, b: float, space: ParameterSpace):
     """The minimizer -B / (2A) of A theta^2 + B theta + C clipped to the
     space, and whether the clip moved it."""
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError(
-            f"the objective's coefficients overflow (A={a:g}, B={b:g}): the "
-            "drift scale b1 * dt / friction is too large along this path for "
-            "the friction given")
+    _check_coefficients(a, b)
     if not a > 0:
         raise IdentifiabilityError(
             "theta is not identifiable from this path: sum of ||b1||^2 dt "

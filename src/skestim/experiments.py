@@ -16,8 +16,8 @@ from .core import MODELS, ObservationGrid, SystemParams, philox_generator
 from .estimate import (ParameterSpace, clipped_vertex, minimize_closed_form,
                        objective_curve, path_coefficients,
                        uniform_objective_gap)
-from .simulate import (Scheme, simulate_coupled, simulate_overdamped,
-                       simulate_underdamped, simulate_underdamped_batch)
+from .simulate import (Scheme, simulate_overdamped, simulate_underdamped,
+                       simulate_underdamped_batch)
 
 # Figure defaults for the colloidal reproduction: gamma = 1/6, sigma = 10,
 # theta0 = 0.02, mu = 0.001, n = 1e5 observations. The observation spacing is
@@ -83,6 +83,7 @@ class SweepRow:
     abs_error: float
     sup_distance: Optional[float] = None
     error: Optional[str] = None
+    error_type: Optional[type] = None  # the class of the exception in error
 
 
 def _stream_id(i_mu: int, i_n: int, replicate: int) -> int:
@@ -114,7 +115,8 @@ def run_figure1(seed: int, n: int = FIGURE1_N, dt: float = FIGURE1_DT,
 
 def _error_row(mu: float, n: int, rep: int, exc: Exception) -> SweepRow:
     return SweepRow(mu=mu, n=n, replicate=rep, theta_hat=float("nan"),
-                    abs_error=float("nan"), error=f"{type(exc).__name__}: {exc}")
+                    abs_error=float("nan"), error=f"{type(exc).__name__}: {exc}",
+                    error_type=type(exc))
 
 
 def _sweep_cell(cfg: SweepConfig, model, params: SystemParams,
@@ -190,12 +192,14 @@ def run_gamma_diagnostic(mu_values: Sequence[float], n: int, seed: int,
     model = MODELS["colloidal"]()
     grid = ObservationGrid.uniform(n, dt, substeps)
     out = []
-    for mu in mu_values:
+    for i, mu in enumerate(mu_values):
         params = SystemParams(mass=mu, friction=FIGURE1_GAMMA,
                               noise=FIGURE1_SIGMA, x0=0.0, v0=0.0)
-        coupled = simulate_coupled(model, FIGURE1_THETA, params, grid,
-                                   Scheme.EXPONENTIAL_VELOCITY, seed, 0)
-        gap = uniform_objective_gap(coupled.underdamped, coupled.overdamped,
-                                    model, FIGURE1_GAMMA, FIGURE1_SPACE)
-        out.append((mu, gap, coupled.sup_distance))
+        under = simulate_underdamped(model, FIGURE1_THETA, params, grid,
+                                     Scheme.EXPONENTIAL_VELOCITY, philox_generator(seed, 0))
+        if i == 0:  # the overdamped limit is the same for every mu
+            over = simulate_overdamped(model, FIGURE1_THETA, params, grid,
+                                       philox_generator(seed, 0))
+        gap = uniform_objective_gap(under, over, model, FIGURE1_GAMMA, FIGURE1_SPACE)
+        out.append((mu, gap, float(np.max(np.abs(under.positions - over.positions)))))
     return out

@@ -19,27 +19,17 @@ Brownian increment, so coupled runs converge pathwise.
 
 import itertools
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .core import (DivergenceError, DriftModel, ObservationGrid, SystemParams,
-                   Trajectory, draw_increments, philox_generator)
+                   Trajectory, check_friction, draw_increments)
 
 
 class Scheme(Enum):
     EULER_MARUYAMA = "euler-maruyama"
     EXPONENTIAL_VELOCITY = "exponential-velocity"
-
-
-@dataclass(frozen=True)
-class CoupledRunResult:
-    """Underdamped and overdamped runs driven by the same noise path."""
-
-    underdamped: Trajectory
-    overdamped: Trajectory
-    sup_distance: float
 
 
 # doubles of noise drawn at a time, over all generators of a run, rounded
@@ -49,21 +39,11 @@ _DRAW_DOUBLES = 65536
 
 
 def _check_inputs(theta: float, params: SystemParams, grid: ObservationGrid,
-                  underdamped: bool):
+                  **mass: float):
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta}")
-    # a subnormal friction passes SystemParams but its products with the
-    # substep width, or the quotients the integrators divide by it,
-    # underflow or overflow
-    friction = params.friction
-    s = grid.substeps_per_interval
-    numerators = [1.0, params.noise] + ([params.mass] if underdamped else [])
-    if not (friction * (float(grid.dts.min()) / s) > 0
-            and math.isfinite((float(grid.dts.max()) / s) / friction)
-            and all(math.isfinite(c / friction) for c in numerators)):
-        raise ValueError(
-            f"friction must be large enough that friction * substep > 0 and "
-            f"substep, 1, sigma and mu over friction are finite, got {friction}")
+    check_friction(params.friction, grid.dts / grid.substeps_per_interval,
+                   sigma=params.noise, **mass)
 
 
 def _noise_chunks(grid: ObservationGrid, rngs):
@@ -96,7 +76,7 @@ def simulate_underdamped(model: DriftModel, theta: float, params: SystemParams,
     """Integrate the underdamped system on the noise the generator rng draws
     next; returns positions and velocities at the observation times
     (internal substeps are discarded)."""
-    _check_inputs(theta, params, grid, underdamped=True)
+    _check_inputs(theta, params, grid, mu=params.mass)
     mu, gamma, sigma = params.mass, params.friction, params.noise
     x = float(params.x0)
     v = float(params.v0)
@@ -143,7 +123,7 @@ def simulate_overdamped(model: DriftModel, theta: float, params: SystemParams,
                         grid: ObservationGrid, rng) -> Trajectory:
     """Euler-Maruyama integration of the overdamped limit on the noise the
     generator rng draws next; velocities absent."""
-    _check_inputs(theta, params, grid, underdamped=False)
+    _check_inputs(theta, params, grid)
     gamma, sigma = params.friction, params.noise
     x = float(params.x0)
     b1, b0 = model.b1_scalar, model.b0
@@ -179,7 +159,7 @@ def simulate_underdamped_batch(model: DriftModel, theta: float,
     the DivergenceError that run would raise, and row r is then not finite
     from that observation on.
     """
-    _check_inputs(theta, params, grid, underdamped=True)
+    _check_inputs(theta, params, grid, mu=params.mass)
     mu, gamma, sigma = params.mass, params.friction, params.noise
     b1, b0 = model.b1, model.b0
     s = grid.substeps_per_interval
@@ -211,17 +191,3 @@ def simulate_underdamped_batch(model: DriftModel, theta: float,
                                 (k + 1) * s, grid.times[k + 1], float(x[r]), float(v[r]))
     return positions, errors
 
-
-def simulate_coupled(model: DriftModel, theta: float, params: SystemParams,
-                     grid: ObservationGrid, scheme: Scheme, seed: int,
-                     stream_id: int) -> CoupledRunResult:
-    """Run both systems on the Brownian increments of the (seed, stream_id)
-    stream, drawn afresh for each, and record the sup distance over
-    observation times."""
-    under = simulate_underdamped(model, theta, params, grid, scheme,
-                                 philox_generator(seed, stream_id))
-    over = simulate_overdamped(model, theta, params, grid,
-                               philox_generator(seed, stream_id))
-    dist = np.abs(under.positions - over.positions)
-    return CoupledRunResult(underdamped=under, overdamped=over,
-                            sup_distance=float(np.max(dist)))

@@ -20,8 +20,7 @@ from skestim import (MODELS, ObservationGrid, ParameterSpace,
                      Scheme, SweepConfig, SystemParams,
                      minimize_closed_form, minimize_golden,
                      run_consistency_sweep, run_figure1, run_gamma_diagnostic,
-                     simulate_coupled, simulate_overdamped,
-                     simulate_underdamped)
+                     simulate_overdamped, simulate_underdamped)
 from skestim.core import philox_generator
 
 EXP = Scheme.EXPONENTIAL_VELOCITY
@@ -91,7 +90,9 @@ def test_4_small_mass_coupling():
     sups = []
     for mu in [1e-1, 1e-2, 1e-3]:
         p = SystemParams(mass=mu, friction=1 / 6, noise=10.0, x0=0.0, v0=0.0)
-        sups.append(simulate_coupled(model, 0.02, p, grid, EXP, 1, 0).sup_distance)
+        under = simulate_underdamped(model, 0.02, p, grid, EXP, philox_generator(1, 0))
+        over = simulate_overdamped(model, 0.02, p, grid, philox_generator(1, 0))
+        sups.append(float(np.max(np.abs(under.positions - over.positions))))
     elapsed = time.perf_counter() - start
     ok = sups[0] > sups[1] > sups[2] and elapsed < 30.0
     record(4, "pathwise coupling distance shrinks with mass", ok,

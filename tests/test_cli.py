@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import skestim
-from skestim import cli, io
+from skestim import ParameterSpace, SweepConfig, cli, io
 
 # the directory holding the skestim this process imported, from a checkout
 # or an install; a relative PYTHONPATH would not resolve from the child's cwd
@@ -138,6 +139,16 @@ class TestSimulateCommand:
         assert proc.returncode == 0, proc.stderr
         assert (outdir / "traj.csv").exists()
 
+    def test_env_var_output_dir_holds_figure1_out_dir(self, tmp_path):
+        outdir = tmp_path / "results"
+        outdir.mkdir()
+        env = dict(os.environ, SKESTIM_OUT=str(outdir))
+        proc = run_cli(["figure1", "--seed", "1", "--n", "50", "--out-dir", "rel"],
+                       cwd=tmp_path, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert (outdir / "rel" / "figure1_result.txt").exists()
+        assert not (tmp_path / "rel").exists()
+
 
 class TestEstimateCommand:
 
@@ -233,6 +244,18 @@ class TestEstimateCommand:
         assert proc.returncode == 3
         assert "sum of ||b1||^2 dt is 0" in proc.stderr
         assert "theta_hat" not in proc.stdout
+
+    def test_golden_curve_with_overflowing_coefficients_exits_1(self, tmp_path):
+        # golden section finds theta_hat where the objective stays finite,
+        # but the curve's coefficient A overflows
+        (tmp_path / "three.csv").write_text("t,x\n0,0\n0.01,1e-3\n0.02,2e-3\n")
+        proc = run_cli(["estimate", "--traj", "three.csv", "--model", "ou",
+                        "--gamma", "1e-307", "--theta-lo", "0", "--theta-hi", "1e-300",
+                        "--method", "golden", "--curve", "c.csv"], cwd=tmp_path)
+        assert proc.returncode == 1
+        assert "coefficients overflow" in proc.stderr
+        assert "Warning" not in proc.stderr
+        assert not (tmp_path / "c.csv").exists()
 
     def make_three_rows(self, tmp_path):
         (tmp_path / "three.csv").write_text("t,x\n0,1\n1,2\n2,1.5\n")
@@ -413,6 +436,33 @@ class TestSweepCommand:
         lines = (tmp_path / "sweep.csv").read_text().splitlines()
         assert len(lines) == 1 + 4
 
+    @pytest.mark.parametrize("case,error,code", [
+        ("model = constant-force\ngamma = 1e-307\nsigma = 0\ntheta_true = 0\n",
+         "ValueError", 1),
+        ("model = colloidal\ntheta_true = -1000\n", "DivergenceError", 2),
+        ("model = zero-drift\ntheta_true = 0\n", "IdentifiabilityError", 3),
+    ], ids=["value", "divergence", "identifiability"])
+    def test_every_row_failed_exits_with_its_code(self, tmp_path, case, error, code):
+        (tmp_path / "sweep.cfg").write_text(
+            case + "mu_values = 0.01\nn_values = 10\nreplicates = 2\n"
+            "theta_lo = -1\ntheta_hi = 1\n")
+        proc = run_cli(["sweep", "--config", "sweep.cfg"], cwd=tmp_path)
+        assert proc.returncode == code, proc.stderr
+        header, *rows = (tmp_path / "sweep.csv").read_text().splitlines()
+        assert len(rows) == 2
+        assert all(row.split(",")[6].startswith(error + ":") for row in rows)
+
+    def test_required_keys_only_take_the_defaults(self, tmp_path):
+        (tmp_path / "min.cfg").write_text(
+            "model = ou\nmu_values = 0.1\nn_values = 20\ntheta_true = 1\n"
+            "theta_lo = -5\ntheta_hi = 5\n")
+        args = cli._build_parser().parse_args(["sweep", "--config",
+                                               str(tmp_path / "min.cfg")])
+        assert cli._sweep_config_from_file(args) == SweepConfig(
+            mu_values=[0.1], n_values=[20], delta=1.0, replicates=1, base_seed=0,
+            model_id="ou", theta_true=1.0, space=ParameterSpace(-5.0, 5.0),
+            gamma=1.0, sigma=1.0, x0=1.0, v0=0.0, substeps=4)
+
 
 class TestFigure1Command:
 
@@ -449,3 +499,13 @@ class TestGammaDiagnosticCommand:
         lines = (tmp_path / "gamma.csv").read_text().splitlines()
         assert lines[0] == "mu,uniform_gap,sup_distance"
         assert len(lines) == 3
+
+    def test_csv_frozen(self, tmp_path):
+        # SHA-256 of gamma.csv: integrating the overdamped limit once per call
+        # gives the bytes that one overdamped run per mass gave
+        out = tmp_path / "gamma.csv"
+        assert cli.main(["gamma-diagnostic", "--seed", "5", "--n", "300",
+                         "--substeps", "7", "--mu-values", "0.2,0.003,1e-4",
+                         "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "66d0ff1edfd735756fca8a03036b5cfa4d0480f01922988277e9acd80e5f6e0e")

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from skestim import (G_EFF, MODELS, ObservationGrid, SystemParams, Trajectory,
                      colloidal_model, make_noise_path, ou_model)
-from skestim.core import draw_increments, philox_generator
+from skestim.core import check_friction, draw_increments, philox_generator
 
 # g_eff recomputed independently from the printed constant expression
 G_EFF_ORACLE = 4.0 / 3.0 * math.pi * (1.31 / 2.0) ** 2 * 0.51 * 9.8e-3
@@ -171,6 +171,17 @@ class TestSystemParams:
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             SystemParams(**kwargs)
+
+
+class TestCheckFriction:
+
+    def test_checks_and_names_each_numerator(self):
+        # only mu / friction overflows here
+        widths = np.array([0.01, 0.02])
+        check_friction(1e-10, widths, sigma=1.0, mu=1.0)
+        with pytest.raises(ValueError, match=r"1 / friction, sigma / friction, "
+                                             r"mu / friction finite, got 1e-10"):
+            check_friction(1e-10, widths, sigma=1.0, mu=1e300)
 
 
 class TestObservationGrid:

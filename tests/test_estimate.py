@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from skestim import (DriftModel, IdentifiabilityError, MODELS,
                      ObservationGrid, ParameterSpace, Scheme, SystemParams,
                      Trajectory, minimize_closed_form,
-                     minimize_golden, objective, simulate_coupled,
-                     simulate_overdamped, uniform_objective_gap)
+                     minimize_golden, objective, objective_curve, simulate_overdamped,
+                     simulate_underdamped, uniform_objective_gap)
 from skestim.core import philox_generator
 from skestim.estimate import (clipped_vertex, path_coefficients,
                               quadratic_coefficients)
@@ -112,6 +112,25 @@ class TestClosedForm:
         traj = Trajectory(grid=grid, positions=np.array([1.0, 2.0, 1.5]))
         with pytest.raises(ValueError, match="friction"):
             minimize_closed_form(traj, model, 1e-307, ParameterSpace(0.0, 1.0))
+
+    def test_every_use_of_the_coefficients_rejects_overflow(self):
+        # A overflows while the objective stays finite on a tiny interval:
+        # the curve and the gap raise clipped_vertex's error, not a warning
+        traj = Trajectory(grid=ObservationGrid([0.0, 0.01, 0.02]),
+                          positions=np.array([0.0, 1e-3, 2e-3]))
+        for run in (lambda: quadratic_coefficients(traj, OU, 1e-307),
+                    lambda: objective_curve(traj, OU, 1e-307, np.linspace(0.0, 1e-300, 5)),
+                    lambda: uniform_objective_gap(traj, traj, OU, 1e-307,
+                                                  ParameterSpace(0.0, 1e-300))):
+            with pytest.raises(ValueError, match="coefficients overflow"):
+                run()
+
+    def test_friction_times_step_underflowing_is_rejected(self):
+        # every quotient of the friction is finite, but friction * dt is 0
+        traj = Trajectory(grid=ObservationGrid([0.0, 1e-200, 2e-200]),
+                          positions=np.array([0.0, 1.0, 0.5]))
+        with pytest.raises(ValueError, match=r"friction \* step > 0"):
+            minimize_closed_form(traj, OU, 1e-200, ParameterSpace(0.0, 1.0))
 
     def test_clipped_vertex_tells_overflow_from_vanishing_b1(self):
         space = ParameterSpace(0.0, 1.0)
@@ -281,7 +300,9 @@ class TestUniformObjectiveGap:
         grid = ObservationGrid.uniform(n, 0.1, 20)
         model = MODELS["colloidal"]()
         p = SystemParams(mass=mu, friction=1 / 6, noise=10.0, x0=0.0, v0=0.0)
-        return simulate_coupled(model, 0.02, p, grid, EXP, 12, 0), model
+        under = simulate_underdamped(model, 0.02, p, grid, EXP, philox_generator(12, 0))
+        over = simulate_overdamped(model, 0.02, p, grid, philox_generator(12, 0))
+        return under, over, model
 
     def test_identical_trajectories_zero_gap(self):
         traj = simulate_ou_dataset(seed=1)
@@ -295,23 +316,23 @@ class TestUniformObjectiveGap:
             uniform_objective_gap(a, b, OU, 1.0, ParameterSpace(-2.0, 2.0))
 
     def test_grid_refinement_stable(self):
-        (coupled, model) = self.coupled_colloidal(1e-2)
+        under, over, model = self.coupled_colloidal(1e-2)
         space = ParameterSpace(0.0, 0.1)
-        g101 = uniform_objective_gap(coupled.underdamped, coupled.overdamped,
-                                     model, 1 / 6, space, grid_points=101)
-        g1001 = uniform_objective_gap(coupled.underdamped, coupled.overdamped,
-                                      model, 1 / 6, space, grid_points=1001)
+        g101 = uniform_objective_gap(under, over, model, 1 / 6, space,
+                                     grid_points=101)
+        g1001 = uniform_objective_gap(under, over, model, 1 / 6, space,
+                                      grid_points=1001)
         assert g101 == pytest.approx(g1001, rel=0.1)
 
     def test_generic_path_matches_quadratic_path(self):
         # the gap from the quadratic coefficients equals the per-theta
         # maximum of |objective_under - objective_over|
-        (coupled, model) = self.coupled_colloidal(1e-2, n=100)
+        under, over, model = self.coupled_colloidal(1e-2, n=100)
         space = ParameterSpace(0.0, 0.1)
-        fast = uniform_objective_gap(coupled.underdamped, coupled.overdamped,
-                                     model, 1 / 6, space, grid_points=51)
-        slow = max(abs(objective(coupled.underdamped, model, 1 / 6, t)
-                       - objective(coupled.overdamped, model, 1 / 6, t))
+        fast = uniform_objective_gap(under, over, model, 1 / 6, space,
+                                     grid_points=51)
+        slow = max(abs(objective(under, model, 1 / 6, t)
+                       - objective(over, model, 1 / 6, t))
                    for t in np.linspace(space.lo, space.hi, 51))
         assert fast == pytest.approx(slow, rel=1e-9)
 

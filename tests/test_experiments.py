@@ -8,7 +8,7 @@ from skestim import (MODELS, DivergenceError, DriftModel, ObservationGrid,
                      ParameterSpace, Scheme, SweepConfig, SystemParams,
                      minimize_closed_form, objective,
                      run_consistency_sweep, run_figure1, run_gamma_diagnostic,
-                     simulate_coupled, simulate_underdamped)
+                     simulate_overdamped, simulate_underdamped)
 from skestim.core import philox_generator
 
 
@@ -120,10 +120,10 @@ class TestConsistencySweep:
                     row = rows[mu, n, rep]
                     assert row.theta_hat == want.theta_hat
                     if rep == 0:
-                        coupled = simulate_coupled(model, cfg.theta_true, params, grid,
-                                                   Scheme.EXPONENTIAL_VELOCITY,
-                                                   cfg.base_seed, stream)
-                        assert row.sup_distance == coupled.sup_distance
+                        over = simulate_overdamped(model, cfg.theta_true, params, grid,
+                                                   philox_generator(cfg.base_seed, stream))
+                        sup = float(np.max(np.abs(traj.positions - over.positions)))
+                        assert row.sup_distance == sup
 
     def test_diverging_replicate_is_one_error_row(self, monkeypatch):
         # with this seed replicate 3 of 4 escapes under the unstable cubic
@@ -197,3 +197,17 @@ class TestGammaDiagnostic:
     def test_empty_mu_rejected(self):
         with pytest.raises(ValueError):
             run_gamma_diagnostic([], n=100, seed=0)
+
+    def test_overdamped_limit_integrated_once(self, monkeypatch):
+        # once, right after the first mass's run, so the first two runs, and
+        # the first one to fail, are those of one run pair per mass
+        calls = []
+        for name in ("simulate_underdamped", "simulate_overdamped"):
+            def spy(*args, _run=getattr(experiments, name), _name=name):
+                calls.append(_name)
+                return _run(*args)
+            monkeypatch.setattr(experiments, name, spy)
+        rows = run_gamma_diagnostic([1e-1, 1e-2, 1e-3], n=100, seed=1)
+        assert len(rows) == 3
+        assert calls == ["simulate_underdamped", "simulate_overdamped",
+                         "simulate_underdamped", "simulate_underdamped"]

@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skestim import (CoupledRunResult, DivergenceError, DriftModel,
-                     MODELS, ObservationGrid, Scheme,
-                     SystemParams, simulate_coupled,
-                     simulate_overdamped, simulate_underdamped)
+from skestim import (DivergenceError, DriftModel, MODELS, ObservationGrid,
+                     Scheme, SystemParams, simulate_overdamped,
+                     simulate_underdamped)
 from skestim import simulate
 from skestim.core import draw_increments, philox_generator
 from skestim.simulate import simulate_underdamped_batch
@@ -195,20 +194,28 @@ class TestOverdamped:
             simulate_overdamped(cubic, 1.0, p, grid, philox_generator(0, 0))
 
 
+def coupled_runs(model, theta, params, grid, seed):
+    """The exponential-velocity run and its overdamped limit on two generators
+    of stream (seed, 0), and their sup distance over the observation times."""
+    under = simulate_underdamped(model, theta, params, grid, EXP, philox_generator(seed, 0))
+    over = simulate_overdamped(model, theta, params, grid, philox_generator(seed, 0))
+    return under, over, float(np.max(np.abs(under.positions - over.positions)))
+
+
 class TestCoupled:
 
     def test_degenerate_zero(self):
         grid = ObservationGrid.uniform(10, 0.1, 2)
         p = SystemParams(mass=0.5, friction=1.0, noise=0.0, x0=1.0, v0=0.0)
-        res = simulate_coupled(ZERO, 0.0, p, grid, EXP, 0, 0)
-        assert res.sup_distance == 0.0
+        _, _, sup_distance = coupled_runs(ZERO, 0.0, p, grid, 0)
+        assert sup_distance == 0.0
 
     def test_sup_distance_matches_recomputation(self):
         grid = ObservationGrid.uniform(100, 0.05, 4)
         p = SystemParams(mass=0.05, friction=1.0, noise=1.0, x0=0.0, v0=0.0)
-        res = simulate_coupled(OU, 1.0, p, grid, EXP, 8, 0)
-        recomputed = np.max(np.abs(res.underdamped.positions - res.overdamped.positions))
-        assert res.sup_distance == recomputed
+        underdamped, overdamped, sup_distance = coupled_runs(OU, 1.0, p, grid, 8)
+        recomputed = np.max(np.abs(underdamped.positions - overdamped.positions))
+        assert sup_distance == recomputed
 
     def test_colloidal_small_mass_trend(self):
         # one noise stream for every mass; distance shrinks as mass decreases
@@ -217,17 +224,17 @@ class TestCoupled:
         sups = []
         for mu in [1e-1, 1e-2, 1e-3]:
             p = SystemParams(mass=mu, friction=1 / 6, noise=10.0, x0=0.0, v0=0.0)
-            sups.append(simulate_coupled(model, 0.02, p, grid, EXP, 1, 0).sup_distance)
+            sups.append(coupled_runs(model, 0.02, p, grid, 1)[2])
         assert sups[0] > sups[1] > sups[2]
 
     def test_deterministic_repeat(self):
         grid = ObservationGrid.uniform(200, 0.01, 5)
         p = SystemParams(mass=1e-2, friction=1 / 6, noise=10.0, x0=0.0, v0=0.0)
         model = MODELS["colloidal"]()
-        a = simulate_coupled(model, 0.02, p, grid, EXP, 6, 0)
-        b = simulate_coupled(model, 0.02, p, grid, EXP, 6, 0)
-        assert a.sup_distance == b.sup_distance
-        assert np.array_equal(a.underdamped.positions, b.underdamped.positions)
+        a_under, _, a_sup = coupled_runs(model, 0.02, p, grid, 6)
+        b_under, _, b_sup = coupled_runs(model, 0.02, p, grid, 6)
+        assert a_sup == b_sup
+        assert np.array_equal(a_under.positions, b_under.positions)
 
 
 def cube(x):
