@@ -16,10 +16,11 @@ import numpy as np
 from . import io
 from .core import (ConfigError, DivergenceError, IdentifiabilityError,
                    MODELS, ObservationGrid, SystemParams, philox_generator)
-from .estimate import (ParameterSpace, minimize_closed_form, minimize_golden,
-                       objective_curve)
-from .experiments import (SweepConfig, run_figure1, run_gamma_diagnostic,
-                          run_consistency_sweep)
+from .estimate import (GOLDEN_TOL, ParameterSpace, minimize_closed_form,
+                       minimize_golden, objective_curve)
+from .experiments import (FIGURE1_DT, FIGURE1_N, FIGURE1_SUBSTEPS, GAMMA_DT,
+                          GAMMA_SUBSTEPS, SweepConfig, run_figure1,
+                          run_gamma_diagnostic, run_consistency_sweep)
 from .simulate import Scheme, simulate_overdamped, simulate_underdamped
 
 SCHEMES = {
@@ -76,7 +77,7 @@ def _build_parser():
     p.add_argument("--theta-lo", type=float, required=True)
     p.add_argument("--theta-hi", type=float, required=True)
     p.add_argument("--method", choices=["closed-form", "golden"], default="closed-form")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=GOLDEN_TOL)
     p.add_argument("--curve", default=None, help="optional objective-curve CSV output")
     p.add_argument("--curve-points", type=int, default=401)
 
@@ -88,17 +89,17 @@ def _build_parser():
 
     p = sub.add_parser("figure1", help="colloidal end-to-end reproduction run")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--n", type=int, default=100_000)
-    p.add_argument("--dt", type=float, default=0.01)
-    p.add_argument("--substeps", type=int, default=10)
+    p.add_argument("--n", type=int, default=FIGURE1_N)
+    p.add_argument("--dt", type=float, default=FIGURE1_DT)
+    p.add_argument("--substeps", type=int, default=FIGURE1_SUBSTEPS)
     p.add_argument("--out-dir", default=".")
 
     p = sub.add_parser("gamma-diagnostic",
                        help="uniform objective gap and coupling distance per mass")
     p.add_argument("--mu-values", default="0.1,0.01,0.001")
     p.add_argument("--n", type=int, default=2000)
-    p.add_argument("--dt", type=float, default=0.1)
-    p.add_argument("--substeps", type=int, default=20)
+    p.add_argument("--dt", type=float, default=GAMMA_DT)
+    p.add_argument("--substeps", type=int, default=GAMMA_SUBSTEPS)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", default=None)
 
@@ -135,27 +136,27 @@ def _cmd_estimate(args) -> int:
         result = minimize_closed_form(traj, model, args.gamma, space)
     else:
         result = minimize_golden(traj, model, args.gamma, space, tol=args.tol)
+    if args.curve is not None:  # before the result line, so a failing curve prints none
+        thetas = np.linspace(space.lo, space.hi, args.curve_points)
+        values = objective_curve(traj, model, args.gamma, thetas)
+        curve_path = _out_path(args.curve)
+        io.write_columns(curve_path, "theta,objective", [thetas, values])
     print(f"theta_hat={result.theta_hat:.6g} objective={result.objective_at_min:.6g} "
           f"method={result.method} at_boundary={result.at_boundary} "
           f"evaluations={result.evaluations}")
     if args.curve is not None:
-        thetas = np.linspace(space.lo, space.hi, args.curve_points)
-        values = objective_curve(traj, model, args.gamma, thetas)
-        curve_path = _out_path(args.curve)
-        io.write_curve_csv(curve_path, thetas, values)
         print(f"wrote {curve_path}")
     return 0
 
 
-# config key -> converter. A key the file leaves out takes its default from
-# _SWEEP_DEFAULTS, else from SweepConfig; a key with neither is required.
+# config key -> converter; an omitted key takes SweepConfig's default, else is required
 _SWEEP_KEYS = {
-    "mu_values": io.parse_float_list, "n_values": io.parse_int_list, "delta": float,
+    "mu_values": lambda text: io.parse_list(text, float),
+    "n_values": lambda text: io.parse_list(text, int), "delta": float,
     "replicates": int, "base_seed": int, "model": str, "theta_true": float,
     "theta_lo": float, "theta_hi": float, "gamma": float, "sigma": float,
     "x0": float, "v0": float, "substeps": int,
 }
-_SWEEP_DEFAULTS = {"delta": 1.0, "replicates": 1, "base_seed": 0}
 
 
 def _sweep_config_from_file(args) -> SweepConfig:
@@ -166,7 +167,7 @@ def _sweep_config_from_file(args) -> SweepConfig:
     flags = {"replicates": args.replicates, "base_seed": args.base_seed}
     values = {}
     for key, convert in _SWEEP_KEYS.items():
-        default = _SWEEP_DEFAULTS.get(key, getattr(SweepConfig, key, None))
+        default = getattr(SweepConfig, key, None)
         values[key] = (flags[key] if flags.get(key) is not None
                        else io.config_get(raw, key, convert, default))
     return SweepConfig(model_id=values.pop("model"),
@@ -201,18 +202,18 @@ def _cmd_figure1(args) -> int:
     curve_path = os.path.join(out_dir, "figure1_curve.csv")
     result_path = os.path.join(out_dir, "figure1_result.txt")
     io.write_trajectory_csv(traj_path, traj)
-    io.write_curve_csv(curve_path, thetas, curve)
+    io.write_columns(curve_path, "theta,objective", [thetas, curve])
     result_line = (f"theta_hat={result.theta_hat:.17g} "
                    f"objective={result.objective_at_min:.17g} "
                    f"method={result.method} at_boundary={result.at_boundary}")
-    io.atomic_write_text(result_path, result_line + "\n")
+    io.atomic_write_text(result_path, [result_line + "\n"])
     print(f"wrote {traj_path}, {curve_path}, {result_path}")
     print(result_line)
     return 0
 
 
 def _cmd_gamma(args) -> int:
-    mu_values = io.parse_float_list(args.mu_values)
+    mu_values = io.parse_list(args.mu_values, float)
     rows = run_gamma_diagnostic(mu_values, args.n, args.seed,
                                 dt=args.dt, substeps=args.substeps)
     print(f"{'mu':>10} {'uniform_gap':>14} {'sup_distance':>14}")
@@ -220,7 +221,7 @@ def _cmd_gamma(args) -> int:
         print(f"{mu:>10g} {gap:>14.6g} {sup:>14.6g}")
     if args.out is not None:
         out = _out_path(args.out)
-        io.write_gamma_csv(out, rows)
+        io.write_columns(out, "mu,uniform_gap,sup_distance", np.transpose(rows))
         print(f"wrote {out}")
     return 0
 

@@ -18,6 +18,7 @@ import numpy as np
 from .core import DriftModel, IdentifiabilityError, Trajectory, check_friction
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+GOLDEN_TOL = 1e-10  # golden section's default bracket tolerance
 
 
 @dataclass(frozen=True)
@@ -53,11 +54,13 @@ def _residual_parts(x: np.ndarray, dts: np.ndarray, friction: float):
 
 def objective(traj: Trajectory, model: DriftModel, friction: float,
               theta: float) -> float:
-    """Evaluate the least-squares objective at one theta."""
+    """Evaluate the least-squares objective at one theta; a sum that
+    overflows gives inf without a warning, which the minimizers report."""
     dts = traj.grid.dts
-    xprev, d, scale = _residual_parts(traj.positions, dts, friction)
-    r = d - scale * (theta * model.b1(xprev) + model.b0)
-    return float(np.sum(r * r / dts))
+    with np.errstate(over="ignore", invalid="ignore"):
+        xprev, d, scale = _residual_parts(traj.positions, dts, friction)
+        r = d - scale * (theta * model.b1(xprev) + model.b0)
+        return float(np.sum(r * r / dts))
 
 
 def path_coefficients(x: np.ndarray, dts: np.ndarray, model: DriftModel,
@@ -94,12 +97,26 @@ def quadratic_coefficients(traj: Trajectory, model: DriftModel,
     return float(a), float(b), float(c)
 
 
+def _check_objective(values, thetas, lo: float, hi: float):
+    """values, the objective at thetas, or a ValueError naming [lo, hi] at
+    the first theta where it is not finite."""
+    finite = np.isfinite(values)
+    if not np.all(finite):
+        i = np.argmin(finite)
+        raise ValueError(
+            f"objective is {np.ravel(values)[i]:g} at theta={np.ravel(thetas)[i]:g}, "
+            f"not a finite value; narrow the interval [{lo:g}, {hi:g}]")
+    return values
+
+
 def objective_curve(traj: Trajectory, model: DriftModel, friction: float,
                     thetas: np.ndarray) -> np.ndarray:
     """The objective at every theta of a grid, from the quadratic
-    coefficients."""
+    coefficients; a value that is not finite is a ValueError."""
     a, b, c = quadratic_coefficients(traj, model, friction)
-    return (a * thetas + b) * thetas + c
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = (a * thetas + b) * thetas + c
+    return _check_objective(values, thetas, np.min(thetas), np.max(thetas))
 
 
 def clipped_vertex(a: float, b: float, space: ParameterSpace):
@@ -122,7 +139,8 @@ def minimize_closed_form(traj: Trajectory, model: DriftModel, friction: float,
     theta_hat, at_boundary = clipped_vertex(a, b, space)
     return EstimationResult(
         theta_hat=theta_hat,
-        objective_at_min=objective(traj, model, friction, theta_hat),
+        objective_at_min=_check_objective(objective(traj, model, friction, theta_hat),
+                                          theta_hat, space.lo, space.hi),
         method="closed-form",
         at_boundary=at_boundary,
         evaluations=1,
@@ -130,7 +148,7 @@ def minimize_closed_form(traj: Trajectory, model: DriftModel, friction: float,
 
 
 def minimize_golden(traj: Trajectory, model: DriftModel, friction: float,
-                    space: ParameterSpace, tol: float = 1e-10,
+                    space: ParameterSpace, tol: float = GOLDEN_TOL,
                     scan_points: int = 101) -> EstimationResult:
     """Derivative-free minimization: coarse grid scan to bracket the minimum,
     then golden-section search until the bracket is below tol, or below a few
@@ -139,14 +157,8 @@ def minimize_golden(traj: Trajectory, model: DriftModel, friction: float,
         raise ValueError(f"tol must be finite and > 0, got {tol}")
 
     def f(theta):
-        # an overflowing objective is reported below, not as a numpy warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            value = objective(traj, model, friction, theta)
-        if not math.isfinite(value):
-            raise ValueError(
-                f"objective is {value:g} at theta={theta:g}: golden section cannot "
-                f"compare it; narrow the interval [{space.lo:g}, {space.hi:g}]")
-        return value
+        return _check_objective(objective(traj, model, friction, theta),
+                                theta, space.lo, space.hi)
 
     thetas = np.linspace(space.lo, space.hi, scan_points)
     values = [f(t) for t in thetas]

@@ -31,6 +31,8 @@ FIGURE1_N = 100_000
 FIGURE1_DT = 0.01
 FIGURE1_SUBSTEPS = 10
 FIGURE1_SPACE = ParameterSpace(0.0, 0.1)
+GAMMA_DT = 0.1  # the gamma diagnostic's default spacing and substeps
+GAMMA_SUBSTEPS = 20
 
 # _stream_id packs the n index and the replicate into 20 bits each.
 _STREAM_FIELD = 2 ** 20
@@ -46,12 +48,12 @@ class SweepConfig:
 
     mu_values: Sequence[float]
     n_values: Sequence[int]
-    delta: float                 # horizon constant, T = delta * sqrt(n)
-    replicates: int
-    base_seed: int
     model_id: str                # key into core.MODELS
     theta_true: float
     space: ParameterSpace
+    delta: float = 1.0           # horizon constant, T = delta * sqrt(n)
+    replicates: int = 1
+    base_seed: int = 0
     gamma: float = 1.0
     sigma: float = 1.0
     x0: float = 1.0
@@ -179,8 +181,8 @@ def run_consistency_sweep(cfg: SweepConfig) -> List[SweepRow]:
 
 
 def run_gamma_diagnostic(mu_values: Sequence[float], n: int, seed: int,
-                         dt: float = 0.1,
-                         substeps: int = 20):
+                         dt: float = GAMMA_DT,
+                         substeps: int = GAMMA_SUBSTEPS):
     """Per mass value: coupled sup distance and the uniform objective gap for
     the colloidal figure-1 setup, every run on the noise of stream (seed, 0)
     so the columns are comparable across mu.

@@ -17,19 +17,15 @@ _SPEC = ".17g"
 _CHUNK_ROWS = 8192  # rows converted, formatted and written at a time
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), _SPEC)
-
-
-def atomic_write_text(path: str, text):
-    """Write text, a string or an iterable of strings written as they come,
-    to a temporary file beside path and rename it over path; on any failure
-    path is untouched and the temporary file is removed."""
+def atomic_write_text(path: str, chunks):
+    """Write an iterable of strings, each as it comes, to a temporary file
+    beside path and rename it over path; on any failure path is untouched
+    and the temporary file is removed."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".csv")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.writelines([text] if isinstance(text, str) else text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -37,21 +33,26 @@ def atomic_write_text(path: str, text):
         raise
 
 
-def write_trajectory_csv(path: str, traj: Trajectory):
-    """Header t,x (plus v for underdamped runs), one row per grid point,
-    streamed to the file a chunk of rows at a time."""
-    columns = [traj.times, traj.positions]
-    if traj.velocities is not None:
-        columns.append(traj.velocities)
+def write_columns(path: str, header: str, columns):
+    """A header line, then one row of %.17g fields per index of the equally
+    long columns, streamed to the file a chunk of rows at a time."""
     row = ",".join(["%" + _SPEC] * len(columns)) + "\n"
 
     def chunks():
-        yield "t,x,v\n" if len(columns) == 3 else "t,x\n"
-        for start in range(0, len(traj.grid), _CHUNK_ROWS):
+        yield header + "\n"
+        for start in range(0, len(columns[0]), _CHUNK_ROWS):
             block = [c[start:start + _CHUNK_ROWS].tolist() for c in columns]
             yield "".join([row % values for values in zip(*block)])
 
     atomic_write_text(path, chunks())
+
+
+def write_trajectory_csv(path: str, traj: Trajectory):
+    """Header t,x (plus v for underdamped runs), one row per grid point."""
+    if traj.velocities is None:
+        write_columns(path, "t,x", [traj.times, traj.positions])
+    else:
+        write_columns(path, "t,x,v", [traj.times, traj.positions, traj.velocities])
 
 
 def read_trajectory_csv(path: str) -> Trajectory:
@@ -65,26 +66,14 @@ def read_trajectory_csv(path: str) -> Trajectory:
     return Trajectory(grid=grid, positions=data[:, 1], velocities=vel)
 
 
-def write_curve_csv(path: str, thetas, values):
-    lines = ["theta,objective"]
-    lines += [f"{_fmt(t)},{_fmt(v)}" for t, v in zip(thetas, values)]
-    atomic_write_text(path, "\n".join(lines) + "\n")
-
-
 def write_sweep_csv(path: str, rows):
-    lines = ["mu,n,replicate,theta_hat,abs_error,sup_distance,error"]
+    row = f"%{_SPEC},%s,%s,%{_SPEC},%{_SPEC},%s,%s\n"
+    lines = ["mu,n,replicate,theta_hat,abs_error,sup_distance,error\n"]
     for r in rows:
-        sup = "" if r.sup_distance is None else _fmt(r.sup_distance)
+        sup = "" if r.sup_distance is None else format(r.sup_distance, _SPEC)
         err = "" if r.error is None else r.error.replace(",", ";")
-        lines.append(f"{_fmt(r.mu)},{r.n},{r.replicate},"
-                     f"{_fmt(r.theta_hat)},{_fmt(r.abs_error)},{sup},{err}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def write_gamma_csv(path: str, rows):
-    lines = ["mu,uniform_gap,sup_distance"]
-    lines += [f"{_fmt(mu)},{_fmt(gap)},{_fmt(sup)}" for mu, gap, sup in rows]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+        lines.append(row % (r.mu, r.n, r.replicate, r.theta_hat, r.abs_error, sup, err))
+    atomic_write_text(path, lines)
 
 
 def parse_config_file(path: str) -> dict:
@@ -121,15 +110,9 @@ def config_get(cfg: dict, key: str, convert, default=None):
         raise ConfigError(f"config key {key!r}: cannot parse {cfg[key]!r} ({exc})") from exc
 
 
-def parse_float_list(text: str):
+def parse_list(text: str, convert):
+    """Comma-separated values, each converted; an empty list is an error."""
     items = [s for s in text.replace(" ", "").split(",") if s]
     if not items:
         raise ValueError("empty list")
-    return [float(s) for s in items]
-
-
-def parse_int_list(text: str):
-    items = [s for s in text.replace(" ", "").split(",") if s]
-    if not items:
-        raise ValueError("empty list")
-    return [int(s) for s in items]
+    return [convert(s) for s in items]

@@ -39,11 +39,17 @@ _DRAW_DOUBLES = 65536
 
 
 def _check_inputs(theta: float, params: SystemParams, grid: ObservationGrid,
-                  **mass: float):
+                  exponential: bool = False, **mass: float):
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta}")
     check_friction(params.friction, grid.dts / grid.substeps_per_interval,
                    sigma=params.noise, **mass)
+    # the exponential-velocity step divides sigma by gamma times the substep
+    h = float(grid.dts.min()) / grid.substeps_per_interval
+    if exponential and not math.isfinite(params.noise / (params.friction * h)):
+        raise ValueError(
+            f"substep {h:g} is too small for the exponential-velocity scheme: "
+            "sigma / (gamma * substep) overflows; widen dt or take fewer substeps")
 
 
 def _noise_chunks(grid: ObservationGrid, rngs):
@@ -76,14 +82,14 @@ def simulate_underdamped(model: DriftModel, theta: float, params: SystemParams,
     """Integrate the underdamped system on the noise the generator rng draws
     next; returns positions and velocities at the observation times
     (internal substeps are discarded)."""
-    _check_inputs(theta, params, grid, mu=params.mass)
+    euler = scheme is Scheme.EULER_MARUYAMA
+    _check_inputs(theta, params, grid, exponential=not euler, mu=params.mass)
     mu, gamma, sigma = params.mass, params.friction, params.noise
     x = float(params.x0)
     v = float(params.v0)
     b1, b0 = model.b1_scalar, model.b0
     s = grid.substeps_per_interval
     dts = grid.dts
-    euler = scheme is Scheme.EULER_MARUYAMA
 
     positions = [x]
     velocities = [v]
@@ -159,7 +165,7 @@ def simulate_underdamped_batch(model: DriftModel, theta: float,
     the DivergenceError that run would raise, and row r is then not finite
     from that observation on.
     """
-    _check_inputs(theta, params, grid, mu=params.mass)
+    _check_inputs(theta, params, grid, exponential=True, mu=params.mass)
     mu, gamma, sigma = params.mass, params.friction, params.noise
     b1, b0 = model.b1, model.b0
     s = grid.substeps_per_interval

@@ -26,6 +26,10 @@ def run_cli(args, cwd, env=None):
                           cwd=cwd, capture_output=True, text=True, env=env)
 
 
+def sha256_of(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
 SIMULATE_ARGS = ["simulate", "--model", "colloidal", "--mode", "underdamped",
                  "--mu", "0.001", "--gamma", "0.1666667", "--sigma", "10",
                  "--theta", "0.02", "--n", "1000", "--dt", "0.01",
@@ -86,6 +90,30 @@ class TestSimulateCommand:
                         "--out", "x.csv"], cwd=tmp_path)
         assert proc.returncode == 2
         assert "diverged" in proc.stderr
+
+    TINY_STEP = ["simulate", "--model", "ou", "--mode", "underdamped", "--mu", "0.001",
+                 "--gamma", "1", "--sigma", "1", "--theta", "1", "--n", "5",
+                 "--seed", "1", "--out", "t.csv"]
+
+    @pytest.mark.parametrize("dt,substeps", [("1e-310", "1"), ("1e-320", "20")])
+    def test_substep_too_small_for_the_exponential_scheme_exits_1(self, tmp_path, dt,
+                                                                  substeps):
+        # friction * substep > 0, but sigma / (gamma * substep) overflows: a
+        # configuration error before the loop, not a divergence in it
+        proc = run_cli(self.TINY_STEP + ["--dt", dt, "--substeps", substeps],
+                       cwd=tmp_path)
+        assert proc.returncode == 1
+        assert f"substep {float(dt) / int(substeps):g} is too small" in proc.stderr
+        assert "Warning" not in proc.stderr
+        assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("extra", [["--scheme", "euler", "--mu", "1"],
+                                       ["--mode", "overdamped"], ["--sigma", "0"]],
+                             ids=["euler", "overdamped", "no-noise"])
+    def test_tiny_substep_without_the_quotient_runs(self, tmp_path, extra):
+        proc = run_cli(self.TINY_STEP + ["--dt", "1e-310"] + extra, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert len((tmp_path / "t.csv").read_text().splitlines()) == 7
 
     @pytest.mark.parametrize("mode", ["underdamped", "overdamped"])
     def test_subnormal_friction_exits_1(self, tmp_path, mode):
@@ -255,7 +283,49 @@ class TestEstimateCommand:
         assert proc.returncode == 1
         assert "coefficients overflow" in proc.stderr
         assert "Warning" not in proc.stderr
+        assert proc.stdout == ""
         assert not (tmp_path / "c.csv").exists()
+
+    @pytest.mark.parametrize("rows,args,interval", [
+        # A and B are finite, but C overflows far from the wall
+        ("0,5000\n1,5001\n2,5000.5", ["--model", "colloidal", "--gamma", "1e-160",
+                                      "--theta-lo", "0", "--theta-hi", "1e300"],
+         "[0, 1e+300]"),
+        # the fit is finite, the curve's A theta^2 overflows at the ends
+        ("0,0\n1,1\n2,0.5", ["--model", "ou", "--gamma", "1", "--theta-lo=-1e300",
+                             "--theta-hi", "1e300"], "[-1e+300, 1e+300]"),
+        ("0,0\n1,1\n2,0.5", ["--model", "ou", "--gamma", "1", "--theta-lo", "1e299",
+                             "--theta-hi", "1e300"], "[1e+299, 1e+300]"),
+    ], ids=["overflowing-C", "overflowing-curve", "clipped-vertex"])
+    def test_non_finite_objective_exits_1(self, tmp_path, rows, args, interval):
+        (tmp_path / "p.csv").write_text("t,x\n" + rows + "\n")
+        proc = run_cli(["estimate", "--traj", "p.csv", "--curve", "c.csv"] + args,
+                       cwd=tmp_path)
+        assert proc.returncode == 1
+        assert f"not a finite value; narrow the interval {interval}" in proc.stderr
+        assert "Warning" not in proc.stderr
+        assert proc.stdout == ""
+        assert not (tmp_path / "c.csv").exists()
+
+    @pytest.mark.parametrize("method,evaluations", [("closed-form", 1),
+                                                    ("golden", 142)])
+    def test_curve_frozen(self, tmp_path, capsys, method, evaluations):
+        # SHA-256 of the curve CSV and the exact result line, pinned before
+        # the curve went through the shared column writer
+        traj, curve = str(tmp_path / "traj.csv"), str(tmp_path / "curve.csv")
+        assert cli.main(SIMULATE_ARGS[:-1] + [traj]) == 0
+        capsys.readouterr()
+        assert cli.main(["estimate", "--traj", traj, "--model", "colloidal",
+                         "--gamma", "0.1666667", "--theta-lo", "0",
+                         "--theta-hi", "0.1", "--method", method, "--curve", curve,
+                         "--curve-points", "41"]) == 0
+        assert capsys.readouterr().out == (
+            "theta_hat=0.00314217 objective=1.57184e+06 "
+            f"method={method} at_boundary=False evaluations={evaluations}\n"
+            f"wrote {curve}\n")
+        # the curve does not depend on the method
+        assert sha256_of(curve) == (
+            "4c3a724d3e8fb0ae1f6f06fed6fc35ede82d78a9f2e7976feb1e417c518173a6")
 
     def make_three_rows(self, tmp_path):
         (tmp_path / "three.csv").write_text("t,x\n0,1\n1,2\n2,1.5\n")
@@ -441,7 +511,8 @@ class TestSweepCommand:
          "ValueError", 1),
         ("model = colloidal\ntheta_true = -1000\n", "DivergenceError", 2),
         ("model = zero-drift\ntheta_true = 0\n", "IdentifiabilityError", 3),
-    ], ids=["value", "divergence", "identifiability"])
+        ("model = ou\ntheta_true = 1\ndelta = 1e-310\n", "ValueError", 1),
+    ], ids=["value", "divergence", "identifiability", "tiny-substep"])
     def test_every_row_failed_exits_with_its_code(self, tmp_path, case, error, code):
         (tmp_path / "sweep.cfg").write_text(
             case + "mu_values = 0.01\nn_values = 10\nreplicates = 2\n"
@@ -451,6 +522,21 @@ class TestSweepCommand:
         header, *rows = (tmp_path / "sweep.csv").read_text().splitlines()
         assert len(rows) == 2
         assert all(row.split(",")[6].startswith(error + ":") for row in rows)
+
+    @pytest.mark.parametrize("case,code,digest", [
+        ("", 0, (
+         "c88e833354c59682643c25a5acdcfb29fc83b22f296d94c22a497c0ea21b7443")),
+        ("model = colloidal\ntheta_true = -1000\n", 2, (
+         "c54992e6c93a672a491c229beb940b0969fbb524df65ddf7a269ba093e5806be")),
+    ], ids=["ou", "error-rows"])
+    def test_csv_frozen(self, tmp_path, case, code, digest):
+        # SHA-256 of sweep.csv; the error rows' messages hold commas, written
+        # as semicolons, and their sup_distance is empty
+        (tmp_path / "sweep.cfg").write_text(SWEEP_CFG + case)
+        out = tmp_path / "sweep.csv"
+        assert cli.main(["sweep", "--config", str(tmp_path / "sweep.cfg"),
+                         "--out", str(out)]) == code
+        assert sha256_of(out) == digest
 
     def test_required_keys_only_take_the_defaults(self, tmp_path):
         (tmp_path / "min.cfg").write_text(
@@ -476,6 +562,20 @@ class TestFigure1Command:
                      "figure1_result.txt"]:
             assert (tmp_path / "fig1" / name).exists()
         assert "theta_hat=" in proc.stdout
+
+    def test_files_frozen(self, tmp_path):
+        # SHA-256 of the three files, pinned before the curve went through
+        # the shared column writer and the result line through a list
+        assert cli.main(self.ARGS[:-1] + [str(tmp_path / "fig1")]) == 0
+        assert {name: sha256_of(tmp_path / "fig1" / name) for name in [
+            "figure1_trajectory.csv", "figure1_curve.csv", "figure1_result.txt"]} == {
+            "figure1_trajectory.csv":
+                "aa8b4ade5d627f35216fedff6678db08d29e9a0b3cf9d3253c743067d95aefba",
+            "figure1_curve.csv":
+                "8ed3f681acf6cdcc3046f201a51a62934038497fef7052d5b0d8bcbae227e9fa",
+            "figure1_result.txt":
+                "53d4ea84a844d37c6395e69651aad2ec89373e6ab22d62dabfb1117d0e416baa",
+        }
 
     def test_rerun_byte_identical(self, tmp_path):
         proc = run_cli(self.ARGS, cwd=tmp_path)
@@ -509,3 +609,11 @@ class TestGammaDiagnosticCommand:
                          "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "66d0ff1edfd735756fca8a03036b5cfa4d0480f01922988277e9acd80e5f6e0e")
+
+    def test_substep_too_small_for_the_exponential_scheme_exits_1(self, tmp_path):
+        proc = run_cli(["gamma-diagnostic", "--seed", "1", "--n", "5", "--dt", "1e-320",
+                        "--mu-values", "0.1", "--out", "g.csv"], cwd=tmp_path)
+        assert proc.returncode == 1
+        assert "too small for the exponential-velocity scheme" in proc.stderr
+        assert "Warning" not in proc.stderr
+        assert not (tmp_path / "g.csv").exists()

@@ -125,6 +125,30 @@ class TestClosedForm:
             with pytest.raises(ValueError, match="coefficients overflow"):
                 run()
 
+    def test_non_finite_objective_at_the_vertex_names_the_interval(self):
+        # far from the wall at a tiny friction A and B stay finite, but C and
+        # so the objective at the vertex overflow
+        traj = Trajectory(grid=ObservationGrid([0.0, 1.0, 2.0]),
+                          positions=np.array([5000.0, 5001.0, 5000.5]))
+        with pytest.raises(ValueError, match=r"inf at theta=.*\[0, 1e\+300\]"):
+            minimize_closed_form(traj, MODELS["colloidal"](), 1e-160,
+                                 ParameterSpace(0.0, 1e300))
+
+    def test_non_finite_objective_at_the_clipped_vertex(self):
+        traj = Trajectory(grid=ObservationGrid([0.0, 1.0, 2.0]),
+                          positions=np.array([0.0, 1.0, 0.5]))
+        with pytest.raises(ValueError, match=r"theta=1e\+299.*\[1e\+299, 1e\+300\]"):
+            minimize_closed_form(traj, OU, 1.0, ParameterSpace(1e299, 1e300))
+
+    def test_non_finite_curve_names_the_first_theta_and_the_interval(self):
+        # finite coefficients, but A theta^2 overflows at the ends of the grid
+        traj = Trajectory(grid=ObservationGrid([0.0, 1.0, 2.0]),
+                          positions=np.array([0.0, 1.0, 0.5]))
+        with pytest.raises(ValueError, match=r"inf at theta=-1e\+300, not a finite "
+                                             r"value; narrow the interval "
+                                             r"\[-1e\+300, 1e\+300\]"):
+            objective_curve(traj, OU, 1.0, np.linspace(-1e300, 1e300, 5))
+
     def test_friction_times_step_underflowing_is_rejected(self):
         # every quotient of the friction is finite, but friction * dt is 0
         traj = Trajectory(grid=ObservationGrid([0.0, 1e-200, 2e-200]),

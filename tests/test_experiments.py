@@ -159,6 +159,15 @@ class TestConsistencySweep:
             assert row.error.startswith("ValueError: the objective's coefficients overflow")
             assert "friction" in row.error
 
+    def test_substep_too_small_for_the_scheme_is_an_error_row(self):
+        # sigma / (gamma * substep) overflows in every cell: ValueError rows,
+        # not DivergenceError rows
+        rows = run_consistency_sweep(small_sweep_config(delta=1e-310))
+        assert len(rows) == 2 * 2 * 3
+        for row in rows:
+            assert row.error_type is ValueError
+            assert "too small for the exponential-velocity scheme" in row.error
+
     def test_rejects_counts_wider_than_stream_fields(self):
         # _stream_id packs the n index and the replicate into 20 bits each;
         # wider values would give two cells the same noise stream

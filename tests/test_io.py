@@ -175,7 +175,7 @@ class TestConfigParser:
             io.config_get({}, "delta", float)
 
     def test_list_parsers(self):
-        assert io.parse_float_list("0.1, 0.01,1e-3") == [0.1, 0.01, 1e-3]
-        assert io.parse_int_list("100,1000") == [100, 1000]
+        assert io.parse_list("0.1, 0.01,1e-3", float) == [0.1, 0.01, 1e-3]
+        assert io.parse_list("100,1000", int) == [100, 1000]
         with pytest.raises(ValueError):
-            io.parse_float_list("")
+            io.parse_list("", float)

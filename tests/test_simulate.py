@@ -108,6 +108,27 @@ class TestUnderdamped:
         with pytest.raises(ValueError, match="friction"):
             simulate_underdamped_batch(OU, 1.0, p, grid, [philox_generator(1, 0)])
 
+    @pytest.mark.parametrize("dt,substeps", [(1e-310, 1), (1e-320, 20)])
+    def test_substep_too_small_for_the_exponential_scheme_is_rejected(self, dt,
+                                                                      substeps):
+        # friction * substep > 0, but sigma / (gamma * substep) overflows: a
+        # parameter error before the loop, not a divergence reported by it
+        grid = ObservationGrid.uniform(5, dt, substeps)
+        p = SystemParams(mass=1e-3, friction=1.0, noise=1.0, x0=1.0)
+        with pytest.raises(ValueError, match="too small for the exponential"):
+            simulate_underdamped(OU, 1.0, p, grid, EXP, philox_generator(1, 0))
+        with pytest.raises(ValueError, match="too small for the exponential"):
+            simulate_underdamped_batch(OU, 1.0, p, grid, [philox_generator(1, 0)])
+        # Euler-Maruyama and the overdamped step never form the quotient, and
+        # without noise it is 0
+        simulate_underdamped(OU, 1.0, p, grid, EM, philox_generator(1, 0))
+        simulate_overdamped(OU, 1.0, p, grid, philox_generator(1, 0))
+        quiet = SystemParams(mass=1e-3, friction=1.0, noise=0.0, x0=1.0)
+        simulate_underdamped(OU, 1.0, quiet, grid, EXP, philox_generator(1, 0))
+        _, errors = simulate_underdamped_batch(OU, 1.0, quiet, grid,
+                                               [philox_generator(1, 0)])
+        assert errors == [None]
+
     def test_mass_over_friction_checked_only_with_mass(self):
         grid = ObservationGrid.uniform(5, 0.01, 1)
         p = SystemParams(mass=1e300, friction=1e-10, noise=1.0, x0=1.0)
