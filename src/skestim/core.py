@@ -160,6 +160,10 @@ class ObservationGrid:
         times = np.asarray(times, dtype=float)
         if times.ndim != 1 or len(times) < 2:
             raise ValueError("grid needs at least two observation times")
+        finite = np.isfinite(times)
+        if not finite.all():
+            k = int(np.argmin(finite))
+            raise ValueError(f"grid times must be finite, got t_{k}={times[k]}")
         if times[0] != 0.0:
             raise ValueError(f"grid must start at t=0, got t_0={times[0]}")
         dts = np.diff(times)

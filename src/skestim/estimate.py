@@ -52,15 +52,28 @@ def _residual_parts(x: np.ndarray, dts: np.ndarray, friction: float):
     return xprev, x[..., 1:] - xprev, dts / friction
 
 
+def _path_objective(traj: Trajectory, model: DriftModel, friction: float):
+    """The objective of one path as a function of theta, with the friction
+    check and every theta-independent array computed once; a sum that
+    overflows gives inf without a warning, which the minimizers report."""
+    dts = traj.grid.dts
+    b0 = model.b0
+    with np.errstate(over="ignore", invalid="ignore"):
+        xprev, d, scale = _residual_parts(traj.positions, dts, friction)
+        g = model.b1(xprev)
+
+    def f(theta: float) -> float:
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = d - scale * (theta * g + b0)
+            return float(np.sum(r * r / dts))
+    return f
+
+
 def objective(traj: Trajectory, model: DriftModel, friction: float,
               theta: float) -> float:
     """Evaluate the least-squares objective at one theta; a sum that
     overflows gives inf without a warning, which the minimizers report."""
-    dts = traj.grid.dts
-    with np.errstate(over="ignore", invalid="ignore"):
-        xprev, d, scale = _residual_parts(traj.positions, dts, friction)
-        r = d - scale * (theta * model.b1(xprev) + model.b0)
-        return float(np.sum(r * r / dts))
+    return _path_objective(traj, model, friction)(theta)
 
 
 def path_coefficients(x: np.ndarray, dts: np.ndarray, model: DriftModel,
@@ -156,9 +169,10 @@ def minimize_golden(traj: Trajectory, model: DriftModel, friction: float,
     if not (tol > 0 and math.isfinite(tol)):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
 
+    path_objective = _path_objective(traj, model, friction)
+
     def f(theta):
-        return _check_objective(objective(traj, model, friction, theta),
-                                theta, space.lo, space.hi)
+        return _check_objective(path_objective(theta), theta, space.lo, space.hi)
 
     thetas = np.linspace(space.lo, space.hi, scan_points)
     values = [f(t) for t in thetas]

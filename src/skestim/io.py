@@ -61,6 +61,10 @@ def read_trajectory_csv(path: str) -> Trajectory:
         if header not in ("t,x", "t,x,v"):
             raise ConfigError(f"{path}: unexpected trajectory header {header!r}")
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    columns = header.count(",") + 1
+    if len(data) and data.shape[1] != columns:
+        raise ConfigError(f"{path}: header {header!r} names {columns} columns, "
+                          f"the rows have {data.shape[1]}")
     grid = ObservationGrid(data[:, 0], substeps_per_interval=1)
     vel = data[:, 2] if header == "t,x,v" else None
     return Trajectory(grid=grid, positions=data[:, 1], velocities=vel)

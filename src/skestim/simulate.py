@@ -53,14 +53,15 @@ def _check_inputs(theta: float, params: SystemParams, grid: ObservationGrid,
 
 
 def _noise_chunks(grid: ObservationGrid, rngs):
-    """(k0, k1, increments) for consecutive runs of whole intervals k0..k1-1,
-    the increments one row per generator, as draw_increments gives them."""
+    """(k0, widths, increments) for consecutive runs of whole intervals from
+    k0 on: a memoryview of their substep widths, which yields python floats,
+    and the increments one row per generator, as draw_increments gives them."""
     s = grid.substeps_per_interval
     n = grid.n_intervals
     per_draw = max(1, _DRAW_DOUBLES // (len(rngs) * s))
     for k0 in range(0, n, per_draw):
-        k1 = min(k0 + per_draw, n)
-        yield k0, k1, draw_increments(rngs, grid.dts[k0:k1], s)
+        dts = grid.dts[k0:k0 + per_draw]
+        yield k0, (dts / s).data, draw_increments(rngs, dts, s)
 
 
 def _exponential_coefficients(h: float, mu: float, gamma: float, sigma: float):
@@ -89,29 +90,31 @@ def simulate_underdamped(model: DriftModel, theta: float, params: SystemParams,
     v = float(params.v0)
     b1, b0 = model.b1_scalar, model.b0
     s = grid.substeps_per_interval
-    dts = grid.dts
 
     positions = [x]
     velocities = [v]
-    for k0, k1, block in _noise_chunks(grid, [rng]):
-        inc = block[0].tolist()
-        for k in range(k0, k1):
-            h = float(dts[k]) / s
+    coefficients = {}  # per distinct substep width; a uniform grid has few
+    guard = mu / (2.0 * gamma)
+    cs = sigma / mu
+    for k0, widths, block in _noise_chunks(grid, [rng]):
+        inc = block[0].data
+        for k, h in enumerate(widths, k0):
             steps = inc[(k - k0) * s:(k - k0 + 1) * s]
             if euler:
-                if not h < mu / (2.0 * gamma):
+                if not h < guard:
                     raise ValueError(
                         f"Euler-Maruyama stability guard violated: substep {h:g} "
-                        f">= mu/(2*gamma) = {mu / (2.0 * gamma):g}")
+                        f">= mu/(2*gamma) = {guard:g}")
                 cb = h / mu
                 cg = gamma * h / mu
-                cs = sigma / mu
                 for dw in steps:
                     b = theta * b1(x) + b0
                     x, v = x + v * h, v + b * cb - v * cg + cs * dw
             else:
-                a, one_a, relax, tail, inv_sg, inv_g = _exponential_coefficients(
-                    h, mu, gamma, sigma)
+                c = coefficients.get(h)
+                if c is None:
+                    c = coefficients[h] = _exponential_coefficients(h, mu, gamma, sigma)
+                a, one_a, relax, tail, inv_sg, inv_g = c
                 for dw in steps:
                     f = (theta * b1(x) + b0) * inv_g + inv_sg * dw
                     x = x + relax * v + tail * f
@@ -134,15 +137,13 @@ def simulate_overdamped(model: DriftModel, theta: float, params: SystemParams,
     x = float(params.x0)
     b1, b0 = model.b1_scalar, model.b0
     s = grid.substeps_per_interval
-    dts = grid.dts
 
     positions = [x]
-    for k0, k1, block in _noise_chunks(grid, [rng]):
-        inc = block[0].tolist()
-        for k in range(k0, k1):
-            h = float(dts[k]) / s
+    cs = sigma / gamma
+    for k0, widths, block in _noise_chunks(grid, [rng]):
+        inc = block[0].data
+        for k, h in enumerate(widths, k0):
             cb = h / gamma
-            cs = sigma / gamma
             for dw in inc[(k - k0) * s:(k - k0 + 1) * s]:
                 x = x + (theta * b1(x) + b0) * cb + cs * dw
             if not math.isfinite(x):
@@ -170,7 +171,6 @@ def simulate_underdamped_batch(model: DriftModel, theta: float,
     b1, b0 = model.b1, model.b0
     s = grid.substeps_per_interval
     n = grid.n_intervals
-    dts = grid.dts
     x = np.full(len(rngs), float(params.x0))
     v = np.full(len(rngs), float(params.v0))
     positions = np.empty((len(rngs), n + 1))
@@ -179,11 +179,11 @@ def simulate_underdamped_batch(model: DriftModel, theta: float,
 
     # a diverging row overflows; it is reported below and the others go on
     with np.errstate(all="ignore"):
-        for k0, k1, block in _noise_chunks(grid, rngs):
+        for k0, widths, block in _noise_chunks(grid, rngs):
             steps = iter(block.T)
-            for k in range(k0, k1):
+            for k, h in enumerate(widths, k0):
                 a, one_a, relax, tail, inv_sg, inv_g = _exponential_coefficients(
-                    float(dts[k]) / s, mu, gamma, sigma)
+                    h, mu, gamma, sigma)
                 for dw in itertools.islice(steps, s):
                     f = (theta * b1(x) + b0) * inv_g + inv_sg * dw
                     x = x + relax * v + tail * f

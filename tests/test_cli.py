@@ -235,6 +235,22 @@ class TestEstimateCommand:
         assert proc.returncode == 1
         assert "nope.csv" in proc.stderr
 
+    @pytest.mark.parametrize("text,message", [
+        ("t,x\n0,1\nnan,2\n2,3\n", "grid times must be finite, got t_1=nan"),
+        ("t,x\n0,1\n1,2\ninf,3\n", "grid times must be finite, got t_2=inf"),
+        ("t,x,v\n0,1\n1,2\n", "header 't,x,v' names 3 columns, the rows have 2"),
+        ("t,x\n0,1,5\n1,2,5\n", "header 't,x' names 2 columns, the rows have 3"),
+    ], ids=["nan-time", "inf-time", "missing-column", "extra-column"])
+    def test_malformed_trajectory_exits_1(self, tmp_path, text, message):
+        (tmp_path / "bad.csv").write_text(text)
+        proc = run_cli(["estimate", "--traj", "bad.csv", "--model", "ou",
+                        "--gamma", "1", "--theta-lo", "0", "--theta-hi", "2"],
+                       cwd=tmp_path)
+        assert proc.returncode == 1
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
     def test_identifiability_exits_3(self, tmp_path):
         # all-zero positions: the OU regressor b1(x) = -x vanishes
         (tmp_path / "flat.csv").write_text("t,x\n0,0\n1,0\n2,0\n")

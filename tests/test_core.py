@@ -204,6 +204,14 @@ class TestObservationGrid:
         with pytest.raises(ValueError):
             ObservationGrid([0.0])
 
+    @pytest.mark.parametrize("times,bad", [
+        ([0.0, math.nan, 2.0], "t_1=nan"), ([0.0, 1.0, math.inf], "t_2=inf"),
+        ([math.nan, 1.0], "t_0=nan"), ([0.0, -math.inf, math.nan], "t_1=-inf")])
+    def test_times_must_be_finite(self, times, bad):
+        # nan passes the ordering check; an inf time gives an inf width
+        with pytest.raises(ValueError, match=f"finite, got {bad}$"):
+            ObservationGrid(times)
+
     @pytest.mark.parametrize("dt", [0.0, -0.1, math.inf, -math.inf, math.nan, 1e308])
     def test_uniform_needs_finite_positive_dt(self, dt):
         # 1e308 is finite but the last time, n * dt, is not

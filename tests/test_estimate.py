@@ -10,8 +10,8 @@ from skestim import (DriftModel, IdentifiabilityError, MODELS,
                      minimize_golden, objective, objective_curve, simulate_overdamped,
                      simulate_underdamped, uniform_objective_gap)
 from skestim.core import philox_generator
-from skestim.estimate import (clipped_vertex, path_coefficients,
-                              quadratic_coefficients)
+from skestim.estimate import (_path_objective, clipped_vertex,
+                              path_coefficients, quadratic_coefficients)
 
 EXP = Scheme.EXPONENTIAL_VELOCITY
 CONST_FORCE = MODELS["constant-force"]()
@@ -270,6 +270,46 @@ class TestGolden:
         res = minimize_golden(hand_trajectory(), CONST_FORCE, 1.0,
                               ParameterSpace(0.0, 2.0))
         assert (res.theta_hat, res.evaluations) == (1.0, 149)
+
+    def test_evaluates_b1_once_per_call(self):
+        # the objective's theta-independent parts are computed once per
+        # path, not once per evaluation
+        calls = []
+
+        def b1(x):
+            calls.append(len(x))
+            return -x
+
+        model = DriftModel("ou-spy", b1, OU.b1_scalar, 0.0)
+        traj = simulate_ou_dataset(seed=3)
+        res = minimize_golden(traj, model, 1.0, ParameterSpace(-5.0, 5.0))
+        assert res.evaluations == 152
+        assert calls == [len(traj.positions) - 1]
+
+
+def reference_objective(traj, model, friction, theta):
+    """The objective as one expression, every part recomputed per theta."""
+    x, dts = traj.positions, traj.grid.dts
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = x[1:] - x[:-1] - dts / friction * (theta * model.b1(x[:-1]) + model.b0)
+        return float(np.sum(r * r / dts))
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_path_objective_equals_the_per_theta_expression(name):
+    # one evaluator serves every theta; constant-force and zero-drift have
+    # a scalar b1
+    model = MODELS[name]()
+    friction = 1 / 6 if name == "colloidal" else 1.0
+    grid = ObservationGrid(np.cumsum(np.r_[0.0, np.linspace(0.05, 0.15, 80)]))
+    p = SystemParams(mass=1.0, friction=friction, noise=0.5, x0=1.0)
+    traj = simulate_overdamped(model, 0.02 if name == "colloidal" else 1.0, p,
+                               grid, philox_generator(5, 0))
+    evaluate = _path_objective(traj, model, friction)
+    for theta in np.linspace(-3.0, 3.0, 41).tolist() + [1e200, -1e300]:
+        want = reference_objective(traj, model, friction, theta)
+        assert evaluate(theta) == want
+        assert objective(traj, model, friction, theta) == want
 
 
 # model -> (friction, range of the true theta, search space)

@@ -99,6 +99,18 @@ def test_bad_header_rejected(tmp_path):
         io.read_trajectory_csv(str(path))
 
 
+@pytest.mark.parametrize("text,header,count", [
+    ("t,x,v\n0,1\n1,2\n", "t,x,v", 2), ("t,x\n0,1,5\n1,2,5\n", "t,x", 3),
+    ("t,x\n0\n1\n", "t,x", 1)])
+def test_column_count_must_match_the_header(tmp_path, text, header, count):
+    path = tmp_path / "cols.csv"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=f"cols.csv: header '{header}' names "
+                                          f"{len(header.split(','))} columns, "
+                                          f"the rows have {count}"):
+        io.read_trajectory_csv(str(path))
+
+
 def test_no_temp_files_left_behind(tmp_path):
     grid = ObservationGrid([0.0, 1.0])
     traj = Trajectory(grid=grid, positions=np.array([0.0, 2.0]))

@@ -412,3 +412,82 @@ def test_no_draw_exceeds_the_budget(monkeypatch):
         assert len(sizes) > 1
         assert max(sizes) <= simulate._DRAW_DOUBLES
         assert sum(sizes) == doubles
+
+
+def reference_run(model, theta, p, grid, scheme, rng):
+    """The integrators' per-interval loop, kept as the reference: the
+    substep width float(dts[k]) / s and every coefficient recomputed each
+    interval, on the noise of one draw."""
+    mu, gamma, sigma = p.mass, p.friction, p.noise
+    b1, b0 = model.b1_scalar, model.b0
+    s = grid.substeps_per_interval
+    inc = draw_increments([rng], grid.dts, s)[0].tolist()
+    x, v = float(p.x0), float(p.v0)
+    positions, velocities = [x], [v]
+    for k in range(grid.n_intervals):
+        h = float(grid.dts[k]) / s
+        steps = inc[k * s:(k + 1) * s]
+        if scheme == "overdamped":
+            cb, cs = h / gamma, sigma / gamma
+            for dw in steps:
+                x = x + (theta * b1(x) + b0) * cb + cs * dw
+        elif scheme is EM:
+            cb, cg, cs = h / mu, gamma * h / mu, sigma / mu
+            for dw in steps:
+                b = theta * b1(x) + b0
+                x, v = x + v * h, v + b * cb - v * cg + cs * dw
+        else:
+            a = math.exp(-gamma * h / mu)
+            one_a = 1.0 - a
+            relax = (mu / gamma) * one_a
+            tail, inv_sg, inv_g = h - relax, sigma / (gamma * h), 1.0 / gamma
+            for dw in steps:
+                f = (theta * b1(x) + b0) * inv_g + inv_sg * dw
+                x = x + relax * v + tail * f
+                v = a * v + one_a * f
+        positions.append(x)
+        velocities.append(v)
+    return np.array(positions), np.array(velocities)
+
+
+@pytest.mark.parametrize("draw_doubles", [simulate._DRAW_DOUBLES, 23])
+@pytest.mark.parametrize("substeps", [1, 3])
+@pytest.mark.parametrize("scheme", [EXP, EM, "overdamped"],
+                         ids=["exponential", "euler", "overdamped"])
+@pytest.mark.parametrize("model_id", ["ou", "colloidal"])
+def test_equals_the_per_interval_loop_on_a_non_uniform_grid(
+        monkeypatch, model_id, scheme, substeps, draw_doubles):
+    # random interval widths: nearly every substep width is distinct
+    monkeypatch.setattr(simulate, "_DRAW_DOUBLES", draw_doubles)
+    widths = np.random.default_rng(substeps).uniform(0.002, 0.02, 400)
+    grid = ObservationGrid(np.cumsum(np.r_[0.0, widths]), substeps)
+    model = MODELS[model_id]()
+    gamma, sigma, theta, x0 = FROZEN_PARAMS[model_id]
+    p = SystemParams(mass=1e-3 if scheme is EXP else 0.1, friction=gamma,
+                     noise=sigma, x0=x0, v0=0.25)
+    want_x, want_v = reference_run(model, theta, p, grid, scheme, philox_generator(4, 1))
+    if scheme == "overdamped":
+        traj = simulate_overdamped(model, theta, p, grid, philox_generator(4, 1))
+    else:
+        traj = simulate_underdamped(model, theta, p, grid, scheme, philox_generator(4, 1))
+        assert traj.velocities.tobytes() == want_v.tobytes()
+    assert traj.positions.tobytes() == want_x.tobytes()
+
+
+def test_exponential_coefficients_once_per_distinct_width(monkeypatch):
+    widths = []
+
+    def spy(h, mu, gamma, sigma):
+        widths.append(h)
+        return coefficients(h, mu, gamma, sigma)
+
+    coefficients = simulate._exponential_coefficients
+    monkeypatch.setattr(simulate, "_exponential_coefficients", spy)
+    # a draw every 200 intervals: the coefficients are kept across draws
+    monkeypatch.setattr(simulate, "_DRAW_DOUBLES", 2000)
+    p = SystemParams(mass=1e-3, friction=1 / 6, noise=10.0)
+    grid = ObservationGrid.uniform(20_000, 0.01, 10)
+    simulate_underdamped(MODELS["colloidal"](), 0.02, p, grid, EXP, philox_generator(1, 0))
+    distinct = set((grid.dts / 10).tolist())
+    assert sorted(widths) == sorted(distinct)
+    assert len(widths) < grid.n_intervals / 100
