@@ -12,7 +12,6 @@ from .core import (
     SystemParams,
     Trajectory,
     colloidal_model,
-    make_noise_path,
     ou_model,
     zero_drift_model,
 )

@@ -121,8 +121,8 @@ def _cmd_simulate(args) -> int:
     elapsed = time.perf_counter() - start
     out = _out_path(args.out)
     io.write_trajectory_csv(out, traj)
-    print(f"wrote {out}: {len(traj.grid)} rows, final position "
-          f"{traj.positions[-1]:.6g}, runtime {elapsed:.3f} s")
+    print(f"wrote {out}: {len(traj.grid)} rows, final position {traj.positions[-1]:.6g}")
+    print(f"runtime {elapsed:.3f} s", file=sys.stderr)
     return 0
 
 

@@ -245,23 +245,11 @@ def draw_increments(rngs, dts: np.ndarray, substeps: int) -> np.ndarray:
     N(0, dt / substeps).
 
     Each row continues its generator's stream, so consecutive draws joined
-    end to end equal the one-shot draw of make_noise_path.
+    end to end equal one draw of all their intervals.
     """
     widths = np.repeat(dts / substeps, substeps)
     out = np.empty((len(rngs), len(widths)))
     for row, rng in zip(out, rngs):
         rng.standard_normal(out=row)
-    out *= np.sqrt(widths)
+    out *= np.sqrt(widths, out=widths)
     return out
-
-
-def make_noise_path(seed: int, stream_id: int, grid: ObservationGrid) -> np.ndarray:
-    """Every Brownian increment of the (seed, stream_id) run on the grid, in
-    one draw; the simulators draw the same increments a chunk at a time.
-
-    Regenerating with the same (seed, stream_id, grid) is bit-identical:
-    the counter-based Philox generator keyed on (seed, stream_id) makes
-    replicates deterministic regardless of scheduling.
-    """
-    return draw_increments([philox_generator(seed, stream_id)], grid.dts,
-                           grid.substeps_per_interval)[0]

@@ -61,11 +61,14 @@ def _path_objective(traj: Trajectory, model: DriftModel, friction: float):
     with np.errstate(over="ignore", invalid="ignore"):
         xprev, d, scale = _residual_parts(traj.positions, dts, friction)
         g = model.b1(xprev)
+    r = np.empty_like(d)  # every evaluation's scratch
 
     def f(theta: float) -> float:
+        # r = d - scale * (theta * g + b0); sum(r * r / dts), in place
         with np.errstate(over="ignore", invalid="ignore"):
-            r = d - scale * (theta * g + b0)
-            return float(np.sum(r * r / dts))
+            np.add(np.multiply(theta, g, out=r), b0, out=r)
+            np.subtract(d, np.multiply(scale, r, out=r), out=r)
+            return float(np.sum(np.divide(np.multiply(r, r, out=r), dts, out=r)))
     return f
 
 
@@ -86,11 +89,12 @@ def path_coefficients(x: np.ndarray, dts: np.ndarray, model: DriftModel,
     clipped_vertex report it."""
     with np.errstate(over="ignore", invalid="ignore"):
         xprev, d, scale = _residual_parts(x, dts, friction)
-        u = d - scale * model.b0
+        u = np.subtract(d, scale * model.b0, out=d)
         w = scale * model.b1(xprev)
-        a = np.sum(w * w / dts, axis=-1)
-        b = -2.0 * np.sum(u * w / dts, axis=-1)
-        c = np.sum(u * u / dts, axis=-1)
+        p = np.empty_like(u)  # u's shape: a w of one row (b1 constant) fills every row
+        a = np.sum(np.divide(np.multiply(w, w, out=p), dts, out=p), axis=-1)
+        b = -2.0 * np.sum(np.divide(np.multiply(u, w, out=p), dts, out=p), axis=-1)
+        c = np.sum(np.divide(np.multiply(u, u, out=p), dts, out=p), axis=-1)
     return a, b, c
 
 

@@ -136,8 +136,7 @@ def _sweep_cell(cfg: SweepConfig, model, params: SystemParams,
         for lo in range(0, cfg.replicates, per_block):
             block = positions[lo:lo + per_block]
             a_blk, b_blk, _ = path_coefficients(block, grid.dts, model, cfg.gamma)
-            # a position-independent b1 gives one A for every row
-            a += np.broadcast_to(a_blk, len(block)).tolist()
+            a += a_blk.tolist()
             b += b_blk.tolist()
     except (RuntimeError, ValueError) as exc:  # the whole cell fails
         return [_error_row(mu, n, rep, exc) for rep in range(cfg.replicates)]

@@ -60,9 +60,13 @@ def read_trajectory_csv(path: str) -> Trajectory:
         header = fh.readline().strip()
         if header not in ("t,x", "t,x,v"):
             raise ConfigError(f"{path}: unexpected trajectory header {header!r}")
+        body = fh.tell()  # np.loadtxt warns on a body of blank or comment lines
+        if not any(line.split("#", 1)[0].strip() for line in iter(fh.readline, "")):
+            raise ConfigError(f"{path}: no rows after the header {header!r}")
+        fh.seek(body)
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
     columns = header.count(",") + 1
-    if len(data) and data.shape[1] != columns:
+    if data.shape[1] != columns:
         raise ConfigError(f"{path}: header {header!r} names {columns} columns, "
                           f"the rows have {data.shape[1]}")
     grid = ObservationGrid(data[:, 0], substeps_per_interval=1)

@@ -17,9 +17,10 @@ degenerates to exactly the overdamped Euler-Maruyama step with the same
 Brownian increment, so coupled runs converge pathwise.
 """
 
-import itertools
 import math
+from array import array
 from enum import Enum
+from itertools import islice
 
 import numpy as np
 
@@ -39,17 +40,22 @@ _DRAW_DOUBLES = 65536
 
 
 def _check_inputs(theta: float, params: SystemParams, grid: ObservationGrid,
-                  exponential: bool = False, **mass: float):
+                  scheme=None, **mass: float):
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta}")
-    check_friction(params.friction, grid.dts / grid.substeps_per_interval,
-                   sigma=params.noise, **mass)
+    widths = grid.dts / grid.substeps_per_interval
+    check_friction(params.friction, widths, sigma=params.noise, **mass)
     # the exponential-velocity step divides sigma by gamma times the substep
-    h = float(grid.dts.min()) / grid.substeps_per_interval
-    if exponential and not math.isfinite(params.noise / (params.friction * h)):
+    h = float(widths.min())
+    if (scheme is Scheme.EXPONENTIAL_VELOCITY
+            and not math.isfinite(params.noise / (params.friction * h))):
         raise ValueError(
             f"substep {h:g} is too small for the exponential-velocity scheme: "
             "sigma / (gamma * substep) overflows; widen dt or take fewer substeps")
+    h, guard = float(widths.max()), params.mass / (2.0 * params.friction)
+    if scheme is Scheme.EULER_MARUYAMA and not h < guard:
+        raise ValueError(f"Euler-Maruyama stability guard violated: substep {h:g} "
+                         f">= mu/(2*gamma) = {guard:g}")
 
 
 def _noise_chunks(grid: ObservationGrid, rngs):
@@ -57,9 +63,8 @@ def _noise_chunks(grid: ObservationGrid, rngs):
     k0 on: a memoryview of their substep widths, which yields python floats,
     and the increments one row per generator, as draw_increments gives them."""
     s = grid.substeps_per_interval
-    n = grid.n_intervals
     per_draw = max(1, _DRAW_DOUBLES // (len(rngs) * s))
-    for k0 in range(0, n, per_draw):
+    for k0 in range(0, grid.n_intervals, per_draw):
         dts = grid.dts[k0:k0 + per_draw]
         yield k0, (dts / s).data, draw_increments(rngs, dts, s)
 
@@ -73,9 +78,15 @@ def _exponential_coefficients(h: float, mu: float, gamma: float, sigma: float):
     return a, one_a, relax, h - relax, sigma / (gamma * h), 1.0 / gamma
 
 
-def _underdamped_divergence(idx: int, t: float, x: float, v: float) -> DivergenceError:
-    return DivergenceError(
-        f"underdamped run diverged at substep {idx} (t ~ {t:g}): x={x!r}, v={v!r}")
+def _diverged(grid: ObservationGrid, k: int, **state) -> DivergenceError:
+    """The error of the first observation from k on at which the state (x,
+    and v when underdamped: arrays from observation k on) is not finite."""
+    i = int(np.argmin(np.logical_and.reduce([np.isfinite(a) for a in state.values()])))
+    kind = "underdamped" if "v" in state else "overdamped"
+    values = ", ".join(f"{name}={float(a[i])!r}" for name, a in state.items())
+    k += i
+    return DivergenceError(f"{kind} run diverged at substep {k * grid.substeps_per_interval}"
+                           f" (t ~ {grid.times[k]:g}): {values}")
 
 
 def simulate_underdamped(model: DriftModel, theta: float, params: SystemParams,
@@ -84,30 +95,25 @@ def simulate_underdamped(model: DriftModel, theta: float, params: SystemParams,
     next; returns positions and velocities at the observation times
     (internal substeps are discarded)."""
     euler = scheme is Scheme.EULER_MARUYAMA
-    _check_inputs(theta, params, grid, exponential=not euler, mu=params.mass)
+    _check_inputs(theta, params, grid, scheme, mu=params.mass)
     mu, gamma, sigma = params.mass, params.friction, params.noise
     x = float(params.x0)
     v = float(params.v0)
     b1, b0 = model.b1_scalar, model.b0
     s = grid.substeps_per_interval
 
-    positions = [x]
-    velocities = [v]
+    positions = array("d", [x])
+    velocities = array("d", [v])
+    put_x, put_v = positions.append, velocities.append
     coefficients = {}  # per distinct substep width; a uniform grid has few
-    guard = mu / (2.0 * gamma)
     cs = sigma / mu
     for k0, widths, block in _noise_chunks(grid, [rng]):
-        inc = block[0].data
-        for k, h in enumerate(widths, k0):
-            steps = inc[(k - k0) * s:(k - k0 + 1) * s]
+        steps = iter(block[0].data)
+        for h in widths:
             if euler:
-                if not h < guard:
-                    raise ValueError(
-                        f"Euler-Maruyama stability guard violated: substep {h:g} "
-                        f">= mu/(2*gamma) = {guard:g}")
                 cb = h / mu
                 cg = gamma * h / mu
-                for dw in steps:
+                for dw in islice(steps, s):
                     b = theta * b1(x) + b0
                     x, v = x + v * h, v + b * cb - v * cg + cs * dw
             else:
@@ -115,17 +121,19 @@ def simulate_underdamped(model: DriftModel, theta: float, params: SystemParams,
                 if c is None:
                     c = coefficients[h] = _exponential_coefficients(h, mu, gamma, sigma)
                 a, one_a, relax, tail, inv_sg, inv_g = c
-                for dw in steps:
+                for dw in islice(steps, s):
                     f = (theta * b1(x) + b0) * inv_g + inv_sg * dw
                     x = x + relax * v + tail * f
                     v = a * v + one_a * f
-            if not (math.isfinite(x) and math.isfinite(v)):
-                raise _underdamped_divergence((k + 1) * s, grid.times[k + 1], x, v)
-            positions.append(x)
-            velocities.append(v)
+            put_x(x)
+            put_v(v)
+        # a state that is not finite stays so, so the chunk's last one tells
+        if not (math.isfinite(x) and math.isfinite(v)):
+            raise _diverged(grid, k0 + 1, x=np.frombuffer(positions)[k0 + 1:],
+                            v=np.frombuffer(velocities)[k0 + 1:])
 
-    return Trajectory(grid=grid, positions=np.array(positions),
-                      velocities=np.array(velocities))
+    return Trajectory(grid=grid, positions=np.frombuffer(positions),
+                      velocities=np.frombuffer(velocities))
 
 
 def simulate_overdamped(model: DriftModel, theta: float, params: SystemParams,
@@ -138,21 +146,20 @@ def simulate_overdamped(model: DriftModel, theta: float, params: SystemParams,
     b1, b0 = model.b1_scalar, model.b0
     s = grid.substeps_per_interval
 
-    positions = [x]
+    positions = array("d", [x])
+    put_x = positions.append
     cs = sigma / gamma
     for k0, widths, block in _noise_chunks(grid, [rng]):
-        inc = block[0].data
-        for k, h in enumerate(widths, k0):
+        steps = iter(block[0].data)
+        for h in widths:
             cb = h / gamma
-            for dw in inc[(k - k0) * s:(k - k0 + 1) * s]:
+            for dw in islice(steps, s):
                 x = x + (theta * b1(x) + b0) * cb + cs * dw
-            if not math.isfinite(x):
-                raise DivergenceError(
-                    f"overdamped run diverged at substep {(k + 1) * s} "
-                    f"(t ~ {grid.times[k + 1]:g}): x={x!r}")
-            positions.append(x)
+            put_x(x)
+        if not math.isfinite(x):
+            raise _diverged(grid, k0 + 1, x=np.frombuffer(positions)[k0 + 1:])
 
-    return Trajectory(grid=grid, positions=np.array(positions))
+    return Trajectory(grid=grid, positions=np.frombuffer(positions))
 
 
 def simulate_underdamped_batch(model: DriftModel, theta: float,
@@ -166,7 +173,7 @@ def simulate_underdamped_batch(model: DriftModel, theta: float,
     the DivergenceError that run would raise, and row r is then not finite
     from that observation on.
     """
-    _check_inputs(theta, params, grid, exponential=True, mu=params.mass)
+    _check_inputs(theta, params, grid, Scheme.EXPONENTIAL_VELOCITY, mu=params.mass)
     mu, gamma, sigma = params.mass, params.friction, params.noise
     b1, b0 = model.b1, model.b0
     s = grid.substeps_per_interval
@@ -184,7 +191,7 @@ def simulate_underdamped_batch(model: DriftModel, theta: float,
             for k, h in enumerate(widths, k0):
                 a, one_a, relax, tail, inv_sg, inv_g = _exponential_coefficients(
                     h, mu, gamma, sigma)
-                for dw in itertools.islice(steps, s):
+                for dw in islice(steps, s):
                     f = (theta * b1(x) + b0) * inv_g + inv_sg * dw
                     x = x + relax * v + tail * f
                     v = a * v + one_a * f
@@ -193,7 +200,6 @@ def simulate_underdamped_batch(model: DriftModel, theta: float,
                 if not finite.all():
                     for r in np.flatnonzero(~finite).tolist():
                         if errors[r] is None:
-                            errors[r] = _underdamped_divergence(
-                                (k + 1) * s, grid.times[k + 1], float(x[r]), float(v[r]))
+                            errors[r] = _diverged(grid, k + 1, x=x[r:r + 1], v=v[r:r + 1])
     return positions, errors
 

@@ -55,12 +55,17 @@ class TestSimulateCommand:
         assert np.all(traj.positions == 2.5)
 
     def test_rerun_byte_identical(self, tmp_path):
+        # the file and stdout; the runtime goes to stderr
         proc = run_cli(SIMULATE_ARGS, cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
         first = (tmp_path / "traj.csv").read_bytes()
-        proc = run_cli(SIMULATE_ARGS, cwd=tmp_path)
-        assert proc.returncode == 0, proc.stderr
+        rerun = run_cli(SIMULATE_ARGS, cwd=tmp_path)
+        assert rerun.returncode == 0, rerun.stderr
         assert (tmp_path / "traj.csv").read_bytes() == first
+        assert rerun.stdout == proc.stdout == (
+            f"wrote {os.path.join('.', 'traj.csv')}: 1001 rows, final position "
+            f"{io.read_trajectory_csv(str(tmp_path / 'traj.csv')).positions[-1]:.6g}\n")
+        assert rerun.stderr.startswith("runtime ")
 
     def test_bad_param_exits_1(self, tmp_path):
         args = [a if a != "0.001" else "-1" for a in SIMULATE_ARGS]
@@ -249,6 +254,18 @@ class TestEstimateCommand:
         assert proc.returncode == 1
         assert message in proc.stderr
         assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("body", ["", "\n", "\n# no rows\n  \n"],
+                             ids=["empty", "blank", "comment"])
+    def test_header_only_trajectory_exits_1(self, tmp_path, body):
+        # rejected before np.loadtxt, which would warn on stderr first
+        (tmp_path / "h.csv").write_text("t,x\n" + body)
+        proc = run_cli(["estimate", "--traj", "h.csv", "--model", "ou",
+                        "--gamma", "1", "--theta-lo", "0", "--theta-hi", "2"],
+                       cwd=tmp_path)
+        assert proc.returncode == 1
+        assert proc.stderr == "error: h.csv: no rows after the header 't,x'\n"
         assert proc.stdout == ""
 
     def test_identifiability_exits_3(self, tmp_path):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from noise_reference import make_noise_path
 from skestim import (G_EFF, MODELS, ObservationGrid, SystemParams, Trajectory,
-                     colloidal_model, make_noise_path, ou_model)
+                     colloidal_model, ou_model)
 from skestim.core import check_friction, draw_increments, philox_generator
 
 # g_eff recomputed independently from the printed constant expression

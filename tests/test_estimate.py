@@ -415,7 +415,8 @@ def test_row_fits_equal_the_closed_form_per_row(name, rows, n, seed, scale):
     positions = rng.uniform(-1.0, 1.0, (rows, 1)) + np.concatenate(
         [np.zeros((rows, 1)), np.cumsum(rng.normal(0.0, scale, (rows, n)), axis=1)], axis=1)
     a, b, c = path_coefficients(positions, grid.dts, model, friction)
-    a = np.broadcast_to(a, rows)
+    # one A per row also where b1 does not depend on position
+    assert a.shape == b.shape == c.shape == (rows,)
     for r in range(rows):
         traj = Trajectory(grid=grid, positions=positions[r])
         assert (float(a[r]), float(b[r]), float(c[r])) == quadratic_coefficients(

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 
@@ -417,7 +418,8 @@ def test_no_draw_exceeds_the_budget(monkeypatch):
 def reference_run(model, theta, p, grid, scheme, rng):
     """The integrators' per-interval loop, kept as the reference: the
     substep width float(dts[k]) / s and every coefficient recomputed each
-    interval, on the noise of one draw."""
+    interval, on the noise of one draw, and the state checked at the end of
+    every interval, raising the DivergenceError that loop raised."""
     mu, gamma, sigma = p.mass, p.friction, p.noise
     b1, b0 = model.b1_scalar, model.b0
     s = grid.substeps_per_interval
@@ -445,6 +447,11 @@ def reference_run(model, theta, p, grid, scheme, rng):
                 f = (theta * b1(x) + b0) * inv_g + inv_sg * dw
                 x = x + relax * v + tail * f
                 v = a * v + one_a * f
+        where = f"at substep {(k + 1) * s} (t ~ {grid.times[k + 1]:g})"
+        if scheme == "overdamped" and not math.isfinite(x):
+            raise DivergenceError(f"overdamped run diverged {where}: x={x!r}")
+        if not (math.isfinite(x) and math.isfinite(v)):
+            raise DivergenceError(f"underdamped run diverged {where}: x={x!r}, v={v!r}")
         positions.append(x)
         velocities.append(v)
     return np.array(positions), np.array(velocities)
@@ -491,3 +498,84 @@ def test_exponential_coefficients_once_per_distinct_width(monkeypatch):
     distinct = set((grid.dts / 10).tolist())
     assert sorted(widths) == sorted(distinct)
     assert len(widths) < grid.n_intervals / 100
+
+
+# a grid of 100 random widths, and per model an x0 far along the direction
+# in which a negative theta drives the path away
+DIVERGE_WIDTHS = np.random.default_rng(7).uniform(0.002, 0.02, 100)
+DIVERGE_X0 = {"ou": 1e4, "colloidal": -100.0}
+
+
+def run_scheme(model, theta, p, grid, scheme, rng):
+    if scheme == "overdamped":
+        return simulate_overdamped(model, theta, p, grid, rng)
+    return simulate_underdamped(model, theta, p, grid, scheme, rng)
+
+
+@functools.cache
+def diverging_run(model_id, scheme, substeps, k):
+    """(theta, params, grid) on which the reference run first leaves the
+    finite doubles in interval k: theta = -exp(u), u bisected."""
+    model = MODELS[model_id]()
+    gamma, sigma, _, _ = FROZEN_PARAMS[model_id]
+    p = SystemParams(mass=1e-3 if scheme is EXP else 0.1, friction=gamma,
+                     noise=sigma, x0=DIVERGE_X0[model_id])
+    grid = ObservationGrid(np.cumsum(np.r_[0.0, DIVERGE_WIDTHS]), substeps)
+
+    def diverging_interval(u):  # n when the run stays finite
+        try:
+            reference_run(model, -math.exp(u), p, grid, scheme, philox_generator(4, 1))
+        except DivergenceError as exc:
+            return int(str(exc).split("substep ")[1].split()[0]) // substeps - 1
+        return grid.n_intervals
+
+    lo, hi = -20.0, 709.0
+    for _ in range(80):
+        u = 0.5 * (lo + hi)
+        got = diverging_interval(u)
+        if got == k:
+            return -math.exp(u), p, grid
+        lo, hi = (lo, u) if got < k else (u, hi)
+    raise AssertionError(f"no theta diverges in interval {k}")
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+@pytest.mark.parametrize("draw_doubles", [simulate._DRAW_DOUBLES, 23])
+@pytest.mark.parametrize("substeps", [1, 3])
+@pytest.mark.parametrize("scheme", [EXP, EM, "overdamped"],
+                         ids=["exponential", "euler", "overdamped"])
+@pytest.mark.parametrize("model_id", ["ou", "colloidal"])
+def test_divergence_message_equals_the_per_interval_loop(
+        monkeypatch, model_id, scheme, substeps, draw_doubles, where):
+    # the loops check the state once per noise chunk; the run must stop at
+    # the interval the per-interval check named, with the same state: in
+    # the first interval, in the middle and in the last interval of a chunk
+    # (the second chunk where the grid has more than one)
+    n = len(DIVERGE_WIDTHS)
+    per_draw = min(n, max(1, draw_doubles // substeps))
+    start = per_draw if per_draw < n else 0
+    k = {"first": 0, "middle": start + per_draw // 2,
+         "last": min(start + per_draw, n) - 1}[where]
+    theta, p, grid = diverging_run(model_id, scheme, substeps, k)
+    model = MODELS[model_id]()
+    with pytest.raises(DivergenceError) as want:
+        reference_run(model, theta, p, grid, scheme, philox_generator(4, 1))
+    monkeypatch.setattr(simulate, "_DRAW_DOUBLES", draw_doubles)
+    with pytest.raises(DivergenceError) as got:
+        run_scheme(model, theta, p, grid, scheme, philox_generator(4, 1))
+    assert str(got.value) == str(want.value)
+    assert f"at substep {(k + 1) * substeps} (" in str(got.value)
+
+
+def test_euler_guard_fires_before_any_integration():
+    # only the last interval is too wide for the guard, and this run would
+    # diverge in its second interval: the guard names the widest substep
+    # before any noise is drawn, so the run exits 1, not 2
+    grid = ObservationGrid(np.cumsum([0.0] + [0.01] * 50 + [0.2]), 2)
+    p = SystemParams(mass=0.1, friction=1.0, noise=1.0, x0=1e4)
+    rng = philox_generator(1, 0)
+    with pytest.raises(ValueError, match=r"substep 0\.1 >= mu/\(2\*gamma\) = 0\.05"):
+        simulate_underdamped(OU, -1e300, p, grid, EM, rng)
+    assert rng.standard_normal() == philox_generator(1, 0).standard_normal()
+    with pytest.raises(DivergenceError, match="substep 4 "):
+        reference_run(OU, -1e300, p, grid, EM, philox_generator(1, 0))
