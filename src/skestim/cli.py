@@ -17,7 +17,7 @@ from . import io
 from .core import (ConfigError, DivergenceError, IdentifiabilityError,
                    MODELS, ObservationGrid, SystemParams, philox_generator)
 from .estimate import (GOLDEN_TOL, ParameterSpace, minimize_closed_form,
-                       minimize_golden, objective_curve)
+                       minimize_golden, objective_curve, quadratic_coefficients)
 from .experiments import (FIGURE1_DT, FIGURE1_N, FIGURE1_SUBSTEPS, GAMMA_DT,
                           GAMMA_SUBSTEPS, SweepConfig, run_figure1,
                           run_gamma_diagnostic, run_consistency_sweep)
@@ -132,13 +132,15 @@ def _cmd_estimate(args) -> int:
     traj = io.read_trajectory_csv(args.traj)
     model = MODELS[args.model]()
     space = ParameterSpace(args.theta_lo, args.theta_hi)
+    coefficients = None  # the closed form's, which the curve reuses
     if args.method == "closed-form":
-        result = minimize_closed_form(traj, model, args.gamma, space)
+        coefficients = quadratic_coefficients(traj, model, args.gamma)
+        result = minimize_closed_form(traj, model, args.gamma, space, coefficients)
     else:
         result = minimize_golden(traj, model, args.gamma, space, tol=args.tol)
     if args.curve is not None:  # before the result line, so a failing curve prints none
         thetas = np.linspace(space.lo, space.hi, args.curve_points)
-        values = objective_curve(traj, model, args.gamma, thetas)
+        values = objective_curve(traj, model, args.gamma, thetas, coefficients)
         curve_path = _out_path(args.curve)
         io.write_columns(curve_path, "theta,objective", [thetas, values])
     print(f"theta_hat={result.theta_hat:.6g} objective={result.objective_at_min:.6g} "
@@ -206,7 +208,7 @@ def _cmd_figure1(args) -> int:
     result_line = (f"theta_hat={result.theta_hat:.17g} "
                    f"objective={result.objective_at_min:.17g} "
                    f"method={result.method} at_boundary={result.at_boundary}")
-    io.atomic_write_text(result_path, [result_line + "\n"])
+    io.atomic_write_text(result_path, [(result_line + "\n").encode()])
     print(f"wrote {traj_path}, {curve_path}, {result_path}")
     print(result_line)
     return 0

@@ -127,10 +127,13 @@ def _check_objective(values, thetas, lo: float, hi: float):
 
 
 def objective_curve(traj: Trajectory, model: DriftModel, friction: float,
-                    thetas: np.ndarray) -> np.ndarray:
+                    thetas: np.ndarray, coefficients=None) -> np.ndarray:
     """The objective at every theta of a grid, from the quadratic
-    coefficients; a value that is not finite is a ValueError."""
-    a, b, c = quadratic_coefficients(traj, model, friction)
+    coefficients (the path's, or those given, as quadratic_coefficients
+    returns them); a value that is not finite is a ValueError."""
+    if coefficients is None:
+        coefficients = quadratic_coefficients(traj, model, friction)
+    a, b, c = coefficients
     with np.errstate(over="ignore", invalid="ignore"):
         values = (a * thetas + b) * thetas + c
     return _check_objective(values, thetas, np.min(thetas), np.max(thetas))
@@ -150,9 +153,12 @@ def clipped_vertex(a: float, b: float, space: ParameterSpace):
 
 
 def minimize_closed_form(traj: Trajectory, model: DriftModel, friction: float,
-                         space: ParameterSpace) -> EstimationResult:
-    """Exact quadratic vertex, clipped to the parameter space."""
-    a, b, _ = quadratic_coefficients(traj, model, friction)
+                         space: ParameterSpace, coefficients=None) -> EstimationResult:
+    """Exact quadratic vertex, clipped to the parameter space, from the
+    path's quadratic coefficients or those given."""
+    if coefficients is None:
+        coefficients = quadratic_coefficients(traj, model, friction)
+    a, b, _ = coefficients
     theta_hat, at_boundary = clipped_vertex(a, b, space)
     return EstimationResult(
         theta_hat=theta_hat,

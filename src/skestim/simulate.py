@@ -188,18 +188,21 @@ def simulate_underdamped_batch(model: DriftModel, theta: float,
     with np.errstate(all="ignore"):
         for k0, widths, block in _noise_chunks(grid, rngs):
             steps = iter(block.T)
-            for k, h in enumerate(widths, k0):
+            chunk = positions[:, k0 + 1:k0 + 1 + len(widths)]
+            # each interval's first increment, once spent, holds its last velocity
+            velocities = block[:, ::s]
+            for i, h in enumerate(widths):
                 a, one_a, relax, tail, inv_sg, inv_g = _exponential_coefficients(
                     h, mu, gamma, sigma)
                 for dw in islice(steps, s):
                     f = (theta * b1(x) + b0) * inv_g + inv_sg * dw
                     x = x + relax * v + tail * f
                     v = a * v + one_a * f
-                positions[:, k + 1] = x
-                finite = np.isfinite(x) & np.isfinite(v)
-                if not finite.all():
-                    for r in np.flatnonzero(~finite).tolist():
-                        if errors[r] is None:
-                            errors[r] = _diverged(grid, k + 1, x=x[r:r + 1], v=v[r:r + 1])
+                chunk[:, i] = x
+                velocities[:, i] = v
+            # a state that is not finite stays so, so the chunk's last one tells
+            for r in np.flatnonzero(~(np.isfinite(x) & np.isfinite(v))).tolist():
+                if errors[r] is None:
+                    errors[r] = _diverged(grid, k0 + 1, x=chunk[r], v=velocities[r])
     return positions, errors
 

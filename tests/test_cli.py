@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import skestim
-from skestim import ParameterSpace, SweepConfig, cli, io
+from skestim import ParameterSpace, SweepConfig, cli, estimate, io
 
 # the directory holding the skestim this process imported, from a checkout
 # or an install; a relative PYTHONPATH would not resolve from the child's cwd
@@ -359,6 +359,19 @@ class TestEstimateCommand:
         # the curve does not depend on the method
         assert sha256_of(curve) == (
             "4c3a724d3e8fb0ae1f6f06fed6fc35ede82d78a9f2e7976feb1e417c518173a6")
+
+    def test_closed_form_curve_computes_coefficients_once(self, tmp_path, monkeypatch):
+        # the closed form's coefficients serve the curve as well
+        traj, curve = str(tmp_path / "traj.csv"), str(tmp_path / "curve.csv")
+        assert cli.main(SIMULATE_ARGS[:-1] + [traj]) == 0
+        calls = []
+        path_coefficients = estimate.path_coefficients
+        monkeypatch.setattr(estimate, "path_coefficients",
+                            lambda *args: calls.append(1) or path_coefficients(*args))
+        assert cli.main(["estimate", "--traj", traj, "--model", "colloidal",
+                         "--gamma", "0.1666667", "--theta-lo", "0", "--theta-hi", "0.1",
+                         "--curve", curve]) == 0
+        assert len(calls) == 1
 
     def make_three_rows(self, tmp_path):
         (tmp_path / "three.csv").write_text("t,x\n0,1\n1,2\n2,1.5\n")

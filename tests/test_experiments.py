@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import skestim.estimate as estimate
 import skestim.experiments as experiments
 from skestim import (MODELS, DivergenceError, DriftModel, ObservationGrid,
                      ParameterSpace, Scheme, SweepConfig, SystemParams,
@@ -40,6 +41,20 @@ class TestFigure1:
     def test_estimate_inside_space(self):
         _, _, res = run_figure1(seed=1, n=2000, dt=0.01, substeps=5)
         assert 0.0 <= res.theta_hat <= 0.1
+
+    def test_coefficients_computed_once(self, monkeypatch):
+        # the curve and the vertex share one set of (A, B, C); the minimum's
+        # objective is still the direct residual sum
+        calls = []
+        path_coefficients = estimate.path_coefficients
+        monkeypatch.setattr(estimate, "path_coefficients",
+                            lambda *args: calls.append(1) or path_coefficients(*args))
+        traj, (thetas, curve), res = run_figure1(seed=3, n=300, dt=0.01, substeps=5)
+        assert len(calls) == 1
+        model = MODELS["colloidal"]()
+        a, b, c = estimate.quadratic_coefficients(traj, model, 1 / 6)
+        assert curve.tobytes() == ((a * thetas + b) * thetas + c).tobytes()
+        assert res.objective_at_min == objective(traj, model, 1 / 6, res.theta_hat)
 
 
 class TestConsistencySweep:

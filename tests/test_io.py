@@ -43,6 +43,17 @@ def random_finite_doubles(rng, n):
     return values
 
 
+def log_uniform(rng, n, lo=-5.0, hi=18.0):
+    """Magnitudes log-uniform in [10**lo, 10**hi), both signs."""
+    return rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(lo, hi, n)
+
+
+def per_value_csv(header, columns):
+    rows = [",".join(format(float(c[k]), ".17g") for c in columns)
+            for k in range(len(columns[0]))]
+    return ("\n".join([header] + rows) + "\n").encode()
+
+
 @pytest.mark.parametrize("with_velocities", [False, True])
 def test_trajectory_csv_matches_per_value_format(tmp_path, with_velocities):
     # more rows than the writer converts at a time, so chunk ends are crossed
@@ -56,10 +67,69 @@ def test_trajectory_csv_matches_per_value_format(tmp_path, with_velocities):
     path = tmp_path / "traj.csv"
     io.write_trajectory_csv(str(path), traj)
     columns = [times, positions] + ([velocities] if with_velocities else [])
-    expected = ["t,x,v" if with_velocities else "t,x"]
-    expected += [",".join(format(float(c[k]), ".17g") for c in columns)
-                 for k in range(n)]
-    assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
+    header = "t,x,v" if with_velocities else "t,x"
+    assert path.read_bytes() == per_value_csv(header, columns)
+    # random bit patterns put few values in fixed notation; this column puts
+    # most of them there
+    columns.append(log_uniform(rng, n))
+    io.write_columns(str(path), header + ",w", columns)
+    assert path.read_bytes() == per_value_csv(header + ",w", columns)
+
+
+def kernel_text(values):
+    """Each value's field as the writer's kernel formats it."""
+    field = np.zeros((len(values), io._FIELD), np.uint8)
+    io._format_column(field, np.asarray(values, np.float64))
+    return [bytes(row).replace(b"\0", b"") for row in field]
+
+
+def decimal_ties(rng, per_decade=500):
+    """Doubles j * 2**-p, j odd, with 18 significant digits, the last a 5:
+    exactly halfway between two 17-digit decimals, in every decade from
+    1e-4 to 1e16 where doubles hold such values."""
+    out = [1.00000762939453125]
+    for d in range(-3, 17):  # digits before the point
+        p = 18 - d
+        lo = int(10.0 ** (d - 1) * 2 ** p) + 1
+        hi = min(int(10.0 ** d * 2 ** p), 2 ** 53)
+        j = rng.integers(lo // 2, hi // 2, per_decade) * 2 + 1
+        out += np.ldexp(j.astype(np.float64), -p).tolist()
+    return np.array(out)
+
+
+POWERS_OF_TEN = [float(f"1e{k}") for k in range(-4, 18)]
+EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-300,
+         np.nextafter(1e-4, 0), 1e-4, np.nextafter(1e-4, 1),
+         np.nextafter(1e17, 0), 1e17, np.nextafter(1e17, np.inf),
+         1.7976931348623157e308, np.inf, -np.inf, np.nan]
+
+
+@pytest.mark.parametrize("family", ["log-uniform", "powers of ten", "ties", "edges"])
+def test_kernel_matches_per_value_format(family):
+    rng = np.random.default_rng(13)
+    values = {
+        "log-uniform": lambda: log_uniform(rng, 200_000),
+        "powers of ten": lambda: np.concatenate(
+            [[np.nextafter(v, 0), v, np.nextafter(v, np.inf)] for v in POWERS_OF_TEN]),
+        "ties": lambda: decimal_ties(rng),
+        "edges": lambda: np.array(EDGES),
+    }[family]()
+    values = np.concatenate([values, -values])
+    assert kernel_text(values) == [format(v, ".17g").encode() for v in values.tolist()]
+
+
+def test_exact_ties_round_half_to_even():
+    assert kernel_text([1.00000762939453125, 1.00002288818359375]) == [
+        b"1.0000076293945312", b"1.0000228881835938"]
+
+
+def test_digit_table_is_every_four_digit_group():
+    assert io._GROUPS.dtype == np.dtype("<u4")
+    groups = io._GROUPS.view(np.uint8).reshape(2, 10_000, 4)
+    for i in range(10_000):
+        text = b"%04d" % i
+        assert groups[0, i].tobytes() == text
+        assert groups[1, i].tobytes() == text.rstrip(b"0").ljust(4, b"\0")
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)

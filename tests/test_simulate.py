@@ -567,6 +567,26 @@ def test_divergence_message_equals_the_per_interval_loop(
     assert f"at substep {(k + 1) * substeps} (" in str(got.value)
 
 
+@pytest.mark.parametrize("k", [10, 15, 19], ids=["first", "middle", "last"])
+def test_batch_divergence_message_equals_the_per_interval_loop(monkeypatch, k):
+    # the batch checks its rows once per noise chunk, here of 10 intervals;
+    # a row diverging in the second chunk gets the per-interval check's
+    # message, and so does every other row that diverges
+    monkeypatch.setattr(simulate, "_DRAW_DOUBLES", 60)
+    theta, p, grid = diverging_run("ou", EXP, 3, k)
+    streams = [philox_generator(4, 1), philox_generator(5, 0), philox_generator(6, 0)]
+    _, errors = simulate_underdamped_batch(OU, theta, p, grid, streams)
+    wants = []
+    for seed, stream in [(4, 1), (5, 0), (6, 0)]:
+        try:
+            reference_run(OU, theta, p, grid, EXP, philox_generator(seed, stream))
+            wants.append(None)
+        except DivergenceError as exc:
+            wants.append(str(exc))
+    assert [None if e is None else str(e) for e in errors] == wants
+    assert f"at substep {(k + 1) * 3} (" in wants[0]
+
+
 def test_euler_guard_fires_before_any_integration():
     # only the last interval is too wide for the guard, and this run would
     # diverge in its second interval: the guard names the widest substep
