@@ -230,13 +230,53 @@ class Trajectory:
         return self.grid.times
 
 
+_StreamKey = None  # the seed sequence type of philox_generator, defined on first use
+
+
+def _stream_key(seed: int, stream_id: int):
+    """A numpy seed sequence whose state is the words [seed, stream_id].
+    Its type is defined on the first call, so that importing skestim does
+    not load numpy.random (11-14 ms on a 2-vCPU Xeon VM); the words are
+    ints, not an array, since each Philox keeps its seed sequence."""
+    global _StreamKey
+    if _StreamKey is None:
+        from numpy.random.bit_generator import ISeedSequence
+
+        class _StreamKey(ISeedSequence):
+            __slots__ = ("seed", "stream_id")
+
+            def __init__(self, seed, stream_id):
+                self.seed = seed
+                self.stream_id = stream_id
+
+            def generate_state(self, n_words, dtype=np.uint32):
+                # Philox asks for its key alone; any other request would
+                # silently change the noise, so it fails instead
+                if n_words != 2 or np.dtype(dtype) != np.uint64:
+                    raise ValueError(f"a stream key is 2 uint64 words, not "
+                                     f"{n_words} of {np.dtype(dtype)}")
+                return np.array([self.seed, self.stream_id], np.uint64)
+
+            def __reduce__(self):  # a pickle names the function, which always exists
+                return _stream_key, (self.seed, self.stream_id)
+
+    return _StreamKey(seed, stream_id)
+
+
 def philox_generator(seed: int, stream_id: int):
-    """The numpy Generator of the (seed, stream_id) noise stream."""
+    """The numpy Generator of the (seed, stream_id) noise stream: Philox at
+    counter 0 with the 128-bit key (stream_id << 64) | seed.
+
+    The key goes in as a seed sequence that returns its two words, not as
+    `key=`, for which numpy first builds and drops a SeedSequence from OS
+    entropy: two thirds of a generator's set-up, and a sweep builds one
+    per replicate. The state, and so every draw, is the same.
+    """
     # no return annotation: numpy loads np.random lazily, on first use
     # the Philox key packs both into 128 bits, so wider values would alias
     if not (0 <= seed < 2 ** 64 and 0 <= stream_id < 2 ** 64):
         raise ValueError("seed and stream_id must be integers in [0, 2**64)")
-    return np.random.Generator(np.random.Philox(key=(int(stream_id) << 64) | int(seed)))
+    return np.random.Generator(np.random.Philox(_stream_key(int(seed), int(stream_id))))
 
 
 def draw_increments(rngs, dts: np.ndarray, substeps: int) -> np.ndarray:

@@ -159,15 +159,18 @@ def write_trajectory_csv(path: str, traj: Trajectory):
 
 
 def read_trajectory_csv(path: str) -> Trajectory:
+    """The trajectory a write_trajectory_csv file holds. The header and the
+    presence of a row are checked on an open handle, which is then closed;
+    np.loadtxt gets the path, since it reads a path in blocks but an open
+    file one Python line at a time."""
     with open(path) as fh:
         header = fh.readline().strip()
         if header not in ("t,x", "t,x,v"):
             raise ConfigError(f"{path}: unexpected trajectory header {header!r}")
-        body = fh.tell()  # np.loadtxt warns on a body of blank or comment lines
+        # np.loadtxt warns on a body of blank or comment lines
         if not any(line.split("#", 1)[0].strip() for line in iter(fh.readline, "")):
             raise ConfigError(f"{path}: no rows after the header {header!r}")
-        fh.seek(body)
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    data = np.loadtxt(path, delimiter=",", ndmin=2, skiprows=1)
     columns = header.count(",") + 1
     if data.shape[1] != columns:
         raise ConfigError(f"{path}: header {header!r} names {columns} columns, "

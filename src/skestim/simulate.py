@@ -151,9 +151,9 @@ def simulate_overdamped(model: DriftModel, theta: float, params: SystemParams,
     cs = sigma / gamma
     for k0, widths, block in _noise_chunks(grid, [rng]):
         steps = iter(block[0].data)
-        for h in widths:
+        for h, dws in zip(widths, zip(*[steps] * s)):  # each interval's s increments
             cb = h / gamma
-            for dw in islice(steps, s):
+            for dw in dws:
                 x = x + (theta * b1(x) + b0) * cb + cs * dw
             put_x(x)
         if not math.isfinite(x):
@@ -183,6 +183,7 @@ def simulate_underdamped_batch(model: DriftModel, theta: float,
     positions = np.empty((len(rngs), n + 1))
     positions[:, 0] = x
     errors = [None] * len(rngs)
+    coefficients = {}  # per distinct substep width, as in simulate_underdamped
 
     # a diverging row overflows; it is reported below and the others go on
     with np.errstate(all="ignore"):
@@ -192,8 +193,10 @@ def simulate_underdamped_batch(model: DriftModel, theta: float,
             # each interval's first increment, once spent, holds its last velocity
             velocities = block[:, ::s]
             for i, h in enumerate(widths):
-                a, one_a, relax, tail, inv_sg, inv_g = _exponential_coefficients(
-                    h, mu, gamma, sigma)
+                c = coefficients.get(h)
+                if c is None:
+                    c = coefficients[h] = _exponential_coefficients(h, mu, gamma, sigma)
+                a, one_a, relax, tail, inv_sg, inv_g = c
                 for dw in islice(steps, s):
                     f = (theta * b1(x) + b0) * inv_g + inv_sg * dw
                     x = x + relax * v + tail * f

@@ -1,16 +1,36 @@
 import math
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from noise_reference import make_noise_path
+import skestim
 from skestim import (G_EFF, MODELS, ObservationGrid, SystemParams, Trajectory,
                      colloidal_model, ou_model)
-from skestim.core import check_friction, draw_increments, philox_generator
+from skestim import core
+from skestim.core import _stream_key, check_friction, draw_increments, philox_generator
 
 # g_eff recomputed independently from the printed constant expression
 G_EFF_ORACLE = 4.0 / 3.0 * math.pi * (1.31 / 2.0) ** 2 * 0.51 * 9.8e-3
+
+
+def assert_same_state(got, want):
+    """Equal bit generator states: the same keys, and equal values, arrays
+    of the same dtype included."""
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        if isinstance(value, dict):
+            assert_same_state(got[key], value)
+        elif isinstance(value, np.ndarray):
+            assert got[key].dtype == value.dtype and np.array_equal(got[key], value)
+        else:
+            assert got[key] == value
 
 
 class TestNoisePath:
@@ -81,6 +101,54 @@ class TestNoisePath:
         make_noise_path(2 ** 64 - 1, 2 ** 64 - 1, grid)
         with pytest.raises(ValueError, match=r"2\*\*64"):
             philox_generator(seed, stream_id)
+
+    @settings(max_examples=50, deadline=None, database=None)
+    @given(seed=st.integers(0, 2 ** 64 - 1), stream_id=st.integers(0, 2 ** 64 - 1))
+    @example(seed=0, stream_id=0)
+    @example(seed=0, stream_id=2 ** 64 - 1)
+    @example(seed=2 ** 64 - 1, stream_id=0)
+    @example(seed=2 ** 64 - 1, stream_id=2 ** 64 - 1)
+    def test_generator_is_philox_keyed_by_stream_and_seed(self, seed, stream_id):
+        want = np.random.Generator(np.random.Philox(key=(stream_id << 64) | seed))
+        got = philox_generator(seed, stream_id)
+        assert_same_state(got.bit_generator.state, want.bit_generator.state)
+        assert got.standard_normal(1000).tobytes() == want.standard_normal(1000).tobytes()
+
+    @pytest.mark.parametrize("n_words,dtype", [
+        (0, np.uint64), (1, np.uint64), (3, np.uint64), (4, np.uint64),
+        (2, np.uint32), (2, np.int64), (2, np.float64), (4, np.uint32)])
+    def test_stream_key_gives_two_uint64_words_only(self, n_words, dtype):
+        key = _stream_key(5, 2 ** 64 - 1)
+        assert isinstance(key, np.random.bit_generator.ISeedSequence)
+        with pytest.raises(ValueError, match="2 uint64 words"):
+            key.generate_state(n_words, dtype)
+        for uint64 in (np.uint64, "uint64", np.dtype("<u8")):
+            words = key.generate_state(2, uint64)
+            assert words.dtype == np.uint64 and words.tolist() == [5, 2 ** 64 - 1]
+
+    def test_generator_survives_pickling(self, monkeypatch):
+        rng = philox_generator(3, 2 ** 64 - 1)
+        rng.standard_normal(5)
+        data = pickle.dumps(rng)
+        # as in a fresh process, where no generator has defined the key type yet
+        monkeypatch.setattr(core, "_StreamKey", None)
+        copy = pickle.loads(data)
+        assert copy.standard_normal(10).tobytes() == rng.standard_normal(10).tobytes()
+
+    def test_importing_the_cli_does_not_load_numpy_random(self):
+        # loading numpy.random takes a fair share of the CLI's start-up; the
+        # first generator loads it
+        code = ("import sys, skestim.cli, skestim.core as core\n"
+                "print('numpy.random' in sys.modules)\n"
+                "core.philox_generator(0, 0)\n"
+                "print('numpy.random' in sys.modules)\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(Path(skestim.__file__).resolve().parents[1]),
+                          env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, check=True)
+        assert proc.stdout.split() == ["False", "True"]
 
     @settings(max_examples=50, deadline=None, database=None)
     @given(cuts=st.lists(st.integers(0, 21), max_size=8),

@@ -181,6 +181,43 @@ def test_column_count_must_match_the_header(tmp_path, text, header, count):
         io.read_trajectory_csv(str(path))
 
 
+def loadtxt_on_the_handle(path):
+    """The rows as np.loadtxt read them from the open file, after the header,
+    before the reader handed it the path instead."""
+    with open(path) as fh:
+        fh.readline()
+        return np.loadtxt(fh, delimiter=",", ndmin=2)
+
+
+@pytest.mark.parametrize("text", [
+    "t,x\n# written by hand\n0,1.5\n# a note\n0.5,2 # trailing\n1,-3\n",
+    "t,x\n\n0,1.5\n\n\n0.5,2\n1,-3\n\n",
+    "t,x,v\r\n0,1.5,0.25\r\n0.5,2,-1e-7\r\n1,-3,4\r\n",
+    "t,x,v\r\n# c\r\n\r\n0,1.5,0.25 # d\r\n1,-3,4\r\n\r\n",
+], ids=["comments", "blank-lines", "crlf", "crlf-comments-blank"])
+def test_path_read_gives_the_rows_of_the_handle_read(tmp_path, text):
+    path = tmp_path / "traj.csv"
+    path.write_bytes(text.encode())
+    back = io.read_trajectory_csv(str(path))
+    columns = [back.times, back.positions]
+    if back.velocities is not None:
+        columns.append(back.velocities)
+    assert np.column_stack(columns).tobytes() == loadtxt_on_the_handle(path).tobytes()
+
+
+@pytest.mark.parametrize("body", ["0,1\n0.5,x\n1,2\n", "0,1\n# c\n\n0.5,2,7\n",
+                                  "0,1\r\n1,\r\n"])
+def test_path_read_gives_the_malformed_row_message_of_the_handle_read(tmp_path, body):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"t,x\n" + body.encode())
+    with pytest.raises(ValueError) as want:
+        loadtxt_on_the_handle(path)
+    with pytest.raises(ValueError) as got:
+        io.read_trajectory_csv(str(path))
+    assert str(got.value) == str(want.value)
+    assert "at row" in str(got.value)
+
+
 def test_no_temp_files_left_behind(tmp_path):
     grid = ObservationGrid([0.0, 1.0])
     traj = Trajectory(grid=grid, positions=np.array([0.0, 2.0]))

@@ -481,7 +481,8 @@ def test_equals_the_per_interval_loop_on_a_non_uniform_grid(
     assert traj.positions.tobytes() == want_x.tobytes()
 
 
-def test_exponential_coefficients_once_per_distinct_width(monkeypatch):
+@pytest.mark.parametrize("batch", [False, True], ids=["scalar", "batch"])
+def test_exponential_coefficients_once_per_distinct_width(monkeypatch, batch):
     widths = []
 
     def spy(h, mu, gamma, sigma):
@@ -493,9 +494,14 @@ def test_exponential_coefficients_once_per_distinct_width(monkeypatch):
     # a draw every 200 intervals: the coefficients are kept across draws
     monkeypatch.setattr(simulate, "_DRAW_DOUBLES", 2000)
     p = SystemParams(mass=1e-3, friction=1 / 6, noise=10.0)
-    grid = ObservationGrid.uniform(20_000, 0.01, 10)
-    simulate_underdamped(MODELS["colloidal"](), 0.02, p, grid, EXP, philox_generator(1, 0))
-    distinct = set((grid.dts / 10).tolist())
+    if batch:  # 5 replicates of 2 substeps per interval
+        grid = ObservationGrid.uniform(10_000, 0.01, 2)
+        simulate_underdamped_batch(MODELS["colloidal"](), 0.02, p, grid,
+                                   [philox_generator(1, r) for r in range(5)])
+    else:
+        grid = ObservationGrid.uniform(20_000, 0.01, 10)
+        simulate_underdamped(MODELS["colloidal"](), 0.02, p, grid, EXP, philox_generator(1, 0))
+    distinct = set((grid.dts / grid.substeps_per_interval).tolist())
     assert sorted(widths) == sorted(distinct)
     assert len(widths) < grid.n_intervals / 100
 
