@@ -237,8 +237,9 @@ _COMMANDS = {
 }
 
 
-# exit code and stderr prefix per exception type; ConfigError is a ValueError
-_EXIT_CODES = {ValueError: (1, "error"), OSError: (1, "error"),
+# exit code and stderr prefix per exception type; ConfigError is a ValueError,
+# and a grid or buffer too large to allocate is a MemoryError
+_EXIT_CODES = {ValueError: (1, "error"), OSError: (1, "error"), MemoryError: (1, "error"),
                DivergenceError: (2, "divergence"),
                IdentifiabilityError: (3, "identifiability")}
 

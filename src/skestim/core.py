@@ -3,11 +3,12 @@
 All types are plain immutable dataclasses; the particle is one-dimensional
 and its state is a python float. Each drift model gives its position
 dependence twice: on a numpy array of positions, so the estimator can
-evaluate a whole trajectory in one call, and on a python float for the
-integrators.
+evaluate a whole trajectory in one call, and on a python float, as a
+profile and a rate, b1(x) == profile(rate * x), for the integrators.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -45,16 +46,31 @@ class DriftModel:
     b1 : callable
         Position dependence, on a numpy array of positions (the estimator).
         A position-independent b1 may return a float; callers broadcast it.
-    b1_scalar : callable
-        The same function on a python float (the integrators).
+    profile : callable
+        With rate, the same function on a python float (the integrators):
+        b1(x) == profile(rate * x). A builtin profile, such as math.exp,
+        costs the integrators' inner loops no Python frame.
     b0 : float
         The theta-independent part of the drift.
+    rate : float
+        The factor on x; 1.0 * x is x exactly, so a profile with the
+        default rate is b1 itself on a float.
     """
 
     name: str
     b1: Callable
-    b1_scalar: Callable
+    profile: Callable
     b0: float
+    rate: float = 1.0
+
+    def b1_scalar(self, x: float) -> float:
+        """b1 on a python float, inf where the profile overflows; the
+        integrators fall back on it for a noise chunk in which the profile
+        raised OverflowError, and it never raises that itself."""
+        try:
+            return self.profile(self.rate * x)
+        except OverflowError:
+            return math.inf
 
 
 def colloidal_model() -> DriftModel:
@@ -68,13 +84,7 @@ def colloidal_model() -> DriftModel:
     def b1(x):
         return np.exp(-inv_debye * x)
 
-    def b1_scalar(x):
-        z = -inv_debye * x
-        # saturate instead of raising OverflowError so the integrator's
-        # divergence check reports the offending substep
-        return math.exp(z) if z < 709.0 else math.inf
-
-    return DriftModel("colloidal", b1, b1_scalar, -G_EFF)
+    return DriftModel("colloidal", b1, math.exp, -G_EFF, -inv_debye)
 
 
 def ou_model() -> DriftModel:
@@ -83,7 +93,8 @@ def ou_model() -> DriftModel:
     def b1(x):
         return -x
 
-    return DriftModel("ou", b1, b1, 0.0)
+    # neg(1.0 * x) is -x bit for bit, -0.0 included
+    return DriftModel("ou", b1, operator.neg, 0.0)
 
 
 def zero_drift_model() -> DriftModel:

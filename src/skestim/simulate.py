@@ -69,6 +69,14 @@ def _noise_chunks(grid: ObservationGrid, rngs):
         yield k0, (dts / s).data, draw_increments(rngs, dts, s)
 
 
+def _profiles(model: DriftModel):
+    """The (b1, k) pairs a scalar loop tries a noise chunk with, b1(k * x)
+    being the model's b1: its profile and rate, a frame-free call for a
+    builtin; then, from the chunk's start again if that raised OverflowError,
+    the saturating b1_scalar, whose inf the divergence check reports."""
+    return (model.profile, model.rate), (model.b1_scalar, 1.0)
+
+
 def _exponential_coefficients(h: float, mu: float, gamma: float, sigma: float):
     """Per-substep coefficients (a, 1 - a, relax, tail, inv_sg, inv_g) of the
     exponential-velocity scheme for substep width h."""
@@ -99,7 +107,7 @@ def simulate_underdamped(model: DriftModel, theta: float, params: SystemParams,
     mu, gamma, sigma = params.mass, params.friction, params.noise
     x = float(params.x0)
     v = float(params.v0)
-    b1, b0 = model.b1_scalar, model.b0
+    b0 = model.b0
     s = grid.substeps_per_interval
 
     positions = array("d", [x])
@@ -108,25 +116,32 @@ def simulate_underdamped(model: DriftModel, theta: float, params: SystemParams,
     coefficients = {}  # per distinct substep width; a uniform grid has few
     cs = sigma / mu
     for k0, widths, block in _noise_chunks(grid, [rng]):
-        steps = iter(block[0].data)
-        for h in widths:
-            if euler:
-                cb = h / mu
-                cg = gamma * h / mu
-                for dw in islice(steps, s):
-                    b = theta * b1(x) + b0
-                    x, v = x + v * h, v + b * cb - v * cg + cs * dw
-            else:
-                c = coefficients.get(h)
-                if c is None:
-                    c = coefficients[h] = _exponential_coefficients(h, mu, gamma, sigma)
-                a, one_a, relax, tail, inv_sg, inv_g = c
-                for dw in islice(steps, s):
-                    f = (theta * b1(x) + b0) * inv_g + inv_sg * dw
-                    x = x + relax * v + tail * f
-                    v = a * v + one_a * f
-            put_x(x)
-            put_v(v)
+        start = x, v
+        for b1, k in _profiles(model):
+            steps = iter(block[0].data)
+            try:
+                for h, dws in zip(widths, zip(*[steps] * s)):  # each interval's s increments
+                    if euler:
+                        cb = h / mu
+                        cg = gamma * h / mu
+                        for dw in dws:
+                            b = theta * b1(k * x) + b0
+                            x, v = x + v * h, v + b * cb - v * cg + cs * dw
+                    else:
+                        c = coefficients.get(h)
+                        if c is None:
+                            c = coefficients[h] = _exponential_coefficients(h, mu, gamma, sigma)
+                        a, one_a, relax, tail, inv_sg, inv_g = c
+                        for dw in dws:
+                            f = (theta * b1(k * x) + b0) * inv_g + inv_sg * dw
+                            x = x + relax * v + tail * f
+                            v = a * v + one_a * f
+                    put_x(x)
+                    put_v(v)
+                break
+            except OverflowError:
+                del positions[k0 + 1:], velocities[k0 + 1:]
+                x, v = start
         # a state that is not finite stays so, so the chunk's last one tells
         if not (math.isfinite(x) and math.isfinite(v)):
             raise _diverged(grid, k0 + 1, x=np.frombuffer(positions)[k0 + 1:],
@@ -143,19 +158,26 @@ def simulate_overdamped(model: DriftModel, theta: float, params: SystemParams,
     _check_inputs(theta, params, grid)
     gamma, sigma = params.friction, params.noise
     x = float(params.x0)
-    b1, b0 = model.b1_scalar, model.b0
+    b0 = model.b0
     s = grid.substeps_per_interval
 
     positions = array("d", [x])
     put_x = positions.append
     cs = sigma / gamma
     for k0, widths, block in _noise_chunks(grid, [rng]):
-        steps = iter(block[0].data)
-        for h, dws in zip(widths, zip(*[steps] * s)):  # each interval's s increments
-            cb = h / gamma
-            for dw in dws:
-                x = x + (theta * b1(x) + b0) * cb + cs * dw
-            put_x(x)
+        start = x
+        for b1, k in _profiles(model):
+            steps = iter(block[0].data)
+            try:
+                for h, dws in zip(widths, zip(*[steps] * s)):  # each interval's s increments
+                    cb = h / gamma
+                    for dw in dws:
+                        x = x + (theta * b1(k * x) + b0) * cb + cs * dw
+                    put_x(x)
+                break
+            except OverflowError:
+                del positions[k0 + 1:]
+                x = start
         if not math.isfinite(x):
             raise _diverged(grid, k0 + 1, x=np.frombuffer(positions)[k0 + 1:])
 

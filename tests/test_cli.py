@@ -96,6 +96,31 @@ class TestSimulateCommand:
         assert proc.returncode == 2
         assert "diverged" in proc.stderr
 
+    def test_overflowing_colloidal_run_exits_2(self, tmp_path):
+        # exp(13000 / 18) overflows in the first substep: the run stops as a
+        # divergence naming that substep, not as an OverflowError
+        proc = run_cli(["simulate", "--mode", "underdamped", "--scheme", "euler",
+                        "--model", "colloidal", "--gamma", "1", "--sigma", "1000",
+                        "--theta", "100", "--mu", "0.1", "--n", "2000", "--dt", "0.01",
+                        "--substeps", "1", "--x0", "-13000", "--seed", "4"], cwd=tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr == ("divergence: underdamped run diverged at substep 1 "
+                               "(t ~ 0.01): x=-13000.0, v=inf\n")
+        assert proc.stdout == ""
+
+    def test_grid_too_large_to_allocate_exits_1(self, tmp_path):
+        # 1e15 + 1 observation times are 8 PB, which no allocation gets
+        proc = run_cli(["simulate", "--mode", "overdamped", "--model", "ou",
+                        "--gamma", "1", "--sigma", "1", "--theta", "1",
+                        "--n", "1000000000000000", "--dt", "0.01", "--seed", "1"],
+                       cwd=tmp_path)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: Unable to allocate ")
+        assert proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+        assert not (tmp_path / "trajectory.csv").exists()
+
     TINY_STEP = ["simulate", "--model", "ou", "--mode", "underdamped", "--mu", "0.001",
                  "--gamma", "1", "--sigma", "1", "--theta", "1", "--n", "5",
                  "--seed", "1", "--out", "t.csv"]

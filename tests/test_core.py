@@ -200,6 +200,16 @@ class TestColloidalModel:
         assert np.allclose(vec, [model.b1_scalar(float(x)) for x in xs], rtol=1e-15)
 
 
+def test_colloidal_b1_scalar_is_exp_until_it_overflows():
+    # b1_scalar is exp(-x / 18) wherever that is a double, 1e308 included,
+    # and inf where math.exp raises OverflowError
+    model = colloidal_model()
+    assert model.b1_scalar(-709.5 * 18.0) == math.exp(709.5) > 1e308
+    assert model.b1_scalar(-13000.0) == math.inf
+    with pytest.raises(OverflowError):
+        model.profile(model.rate * -13000.0)
+
+
 def test_ou_model_by_definition():
     model = ou_model()
     assert 3.0 * model.b1_scalar(2.0) + model.b0 == -6.0

@@ -212,7 +212,9 @@ class TestGolden:
         traj = simulate_ou_dataset(seed=4)
         space = ParameterSpace(-2.0, 4.0)
         thetas = np.arange(space.lo, space.hi + 1e-9, 1e-5)
-        vals = [objective(traj, OU, 1.0, t) for t in thetas]
+        # objective() is this evaluator used once: the same doubles
+        f = _path_objective(traj, OU, 1.0)
+        vals = [f(t) for t in thetas]
         brute = thetas[int(np.argmin(vals))]
         res = minimize_golden(traj, OU, 1.0, space, tol=1e-8)
         assert abs(res.theta_hat - brute) <= 1e-5

@@ -573,6 +573,38 @@ def test_divergence_message_equals_the_per_interval_loop(
     assert f"at substep {(k + 1) * substeps} (" in str(got.value)
 
 
+@pytest.mark.parametrize("scheme", [EXP, EM, "overdamped"],
+                         ids=["exponential", "euler", "overdamped"])
+def test_overflow_mid_chunk_gives_the_per_interval_loop_message(monkeypatch, scheme):
+    # math.exp raises OverflowError from a finite state, inside interval 30
+    # of 20-interval noise chunks: mid-chunk in the second chunk. The loop
+    # integrates that chunk again with the saturating b1_scalar and reports
+    # what the per-interval loop reports
+    monkeypatch.setattr(simulate, "_DRAW_DOUBLES", 60)
+    k, substeps = 30, 3
+    theta, p, grid = diverging_run("colloidal", scheme, substeps, k)
+    colloidal = MODELS["colloidal"]()
+    calls = []
+
+    def exp(z):
+        calls.append(z)
+        try:
+            return math.exp(z)
+        except OverflowError:
+            calls.append(None)
+            raise
+
+    spy = DriftModel("colloidal-spy", colloidal.b1, exp, colloidal.b0, colloidal.rate)
+    with pytest.raises(DivergenceError) as want:
+        reference_run(colloidal, theta, p, grid, scheme, philox_generator(4, 1))
+    with pytest.raises(DivergenceError) as got:
+        run_scheme(spy, theta, p, grid, scheme, philox_generator(4, 1))
+    assert str(got.value) == str(want.value)
+    assert f"at substep {(k + 1) * substeps} (" in str(got.value)
+    raised = calls.index(None)  # one call per substep before it
+    assert (raised - 1) // substeps == k
+
+
 @pytest.mark.parametrize("k", [10, 15, 19], ids=["first", "middle", "last"])
 def test_batch_divergence_message_equals_the_per_interval_loop(monkeypatch, k):
     # the batch checks its rows once per noise chunk, here of 10 intervals;
