@@ -37,10 +37,6 @@ GAMMA_SUBSTEPS = 20
 # _stream_id packs the n index and the replicate into 20 bits each.
 _STREAM_FIELD = 2 ** 20
 
-# positions fitted at a time, in whole replicates (at least one); this bounds
-# the fit's temporaries
-_FIT_POSITIONS = 16384
-
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -125,39 +121,43 @@ def _error_row(mu: float, n: int, rep: int, exc: Exception) -> SweepRow:
 
 def _sweep_cell(cfg: SweepConfig, model, params: SystemParams,
                 grid: ObservationGrid, i_mu: int, i_n: int) -> List[SweepRow]:
-    """Integrate and fit one (mu, n) cell's replicates as one batch."""
+    """Integrate and fit one (mu, n) cell's replicates as one batch, a noise
+    chunk at a time: each chunk adds its path coefficients to every row's A
+    and B, and its distances to replicate 0's sup distance."""
     mu, n = params.mass, grid.n_intervals
     streams = [_stream_id(i_mu, i_n, rep) for rep in range(cfg.replicates)]
     rngs = [philox_generator(cfg.base_seed, stream) for stream in streams]
+    try:  # the coupled diagnostic: the overdamped limit on the same noise
+        over = simulate_overdamped(model, cfg.theta_true, params, grid,
+                                   philox_generator(cfg.base_seed, streams[0])).positions
+    except (RuntimeError, ValueError) as exc:  # raised for row 0 only
+        over, over_error = None, exc
+    a, b, sup = -0.0, -0.0, 0.0  # -0.0 is the exact identity of +
     try:
-        positions, errors = simulate_underdamped_batch(
-            model, cfg.theta_true, params, grid, rngs)
-        a, b = [], []
-        per_block = max(1, _FIT_POSITIONS // (n + 1))
-        # rows that diverged are not finite; their coefficients go unused
-        for lo in range(0, cfg.replicates, per_block):
-            block = positions[lo:lo + per_block]
-            a_blk, b_blk, _ = path_coefficients(block, grid.dts, model, cfg.gamma)
-            a += a_blk.tolist()
-            b += b_blk.tolist()
+        for k0, chunk, errors in simulate_underdamped_batch(
+                model, cfg.theta_true, params, grid, rngs):
+            dts = grid.dts[k0:k0 + chunk.shape[1] - 1]
+            # rows that diverged are not finite; their sums go unused
+            with np.errstate(all="ignore"):
+                a_chunk, b_chunk, _ = path_coefficients(chunk, dts, model, cfg.gamma)
+                a, b = a + a_chunk, b + b_chunk
+                if over is not None:
+                    gaps = np.abs(chunk[0] - over[k0:k0 + len(dts) + 1])
+                    sup = max(sup, float(np.max(gaps)))
     except (RuntimeError, ValueError) as exc:  # the whole cell fails
         return [_error_row(mu, n, rep, exc) for rep in range(cfg.replicates)]
 
     rows = []
-    for rep in range(cfg.replicates):
+    for rep, (a_rep, b_rep) in enumerate(zip(a.tolist(), b.tolist())):
         try:
             if errors[rep] is not None:
                 raise errors[rep]
-            sup = None
-            if rep == 0:
-                # the coupled diagnostic: the overdamped limit on the same noise
-                over = simulate_overdamped(model, cfg.theta_true, params, grid,
-                                           philox_generator(cfg.base_seed, streams[0]))
-                sup = float(np.max(np.abs(positions[0] - over.positions)))
-            theta_hat, _ = clipped_vertex(a[rep], b[rep], cfg.space)
+            if rep == 0 and over is None:
+                raise over_error
+            theta_hat, _ = clipped_vertex(a_rep, b_rep, cfg.space)
             rows.append(SweepRow(mu=mu, n=n, replicate=rep, theta_hat=theta_hat,
                                  abs_error=abs(theta_hat - cfg.theta_true),
-                                 sup_distance=sup))
+                                 sup_distance=sup if rep == 0 else None))
         except (RuntimeError, ValueError) as exc:  # record, keep sweeping
             rows.append(_error_row(mu, n, rep, exc))
     return rows

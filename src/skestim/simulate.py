@@ -188,33 +188,34 @@ def simulate_underdamped_batch(model: DriftModel, theta: float,
                                params: SystemParams, grid: ObservationGrid,
                                rngs):
     """Exponential-velocity runs of len(rngs) replicates at once, replicate r
-    driven by the increments rngs[r] draws next.
+    driven by the increments rngs[r] draws next, one noise chunk at a time.
 
-    Returns (positions, errors). Row r of positions is the path
-    simulate_underdamped gives on rngs[r]; errors[r] is None, or
-    the DivergenceError that run would raise, and row r is then not finite
-    from that observation on.
+    Yields (k0, positions, errors) per noise chunk. Column 0 of positions is
+    observation k0 (x0, or the last column of the chunk before) and the
+    others end the chunk's intervals, so grid.dts[k0:k0 + m] lines up with
+    its m increments; joined, row r is the path simulate_underdamped gives
+    on rngs[r]. errors, one list updated in place, holds for each row None
+    or, from the chunk where it diverges on, the DivergenceError that run
+    would raise; the row is then not finite from that observation on.
     """
     _check_inputs(theta, params, grid, Scheme.EXPONENTIAL_VELOCITY, mu=params.mass)
     mu, gamma, sigma = params.mass, params.friction, params.noise
     b1, b0 = model.b1, model.b0
     s = grid.substeps_per_interval
-    n = grid.n_intervals
     x = np.full(len(rngs), float(params.x0))
     v = np.full(len(rngs), float(params.v0))
-    positions = np.empty((len(rngs), n + 1))
-    positions[:, 0] = x
     errors = [None] * len(rngs)
     coefficients = {}  # per distinct substep width, as in simulate_underdamped
 
-    # a diverging row overflows; it is reported below and the others go on
-    with np.errstate(all="ignore"):
-        for k0, widths, block in _noise_chunks(grid, rngs):
-            steps = iter(block.T)
-            chunk = positions[:, k0 + 1:k0 + 1 + len(widths)]
-            # each interval's first increment, once spent, holds its last velocity
-            velocities = block[:, ::s]
-            for i, h in enumerate(widths):
+    for k0, widths, block in _noise_chunks(grid, rngs):
+        steps = iter(block.T)
+        positions = np.empty((len(rngs), len(widths) + 1))
+        positions[:, 0] = x
+        # each interval's first increment, once spent, holds its last velocity
+        velocities = block[:, ::s]
+        # a diverging row overflows; it is reported below and the others go on
+        with np.errstate(all="ignore"):
+            for i, h in enumerate(widths, 1):
                 c = coefficients.get(h)
                 if c is None:
                     c = coefficients[h] = _exponential_coefficients(h, mu, gamma, sigma)
@@ -223,11 +224,10 @@ def simulate_underdamped_batch(model: DriftModel, theta: float,
                     f = (theta * b1(x) + b0) * inv_g + inv_sg * dw
                     x = x + relax * v + tail * f
                     v = a * v + one_a * f
-                chunk[:, i] = x
-                velocities[:, i] = v
-            # a state that is not finite stays so, so the chunk's last one tells
-            for r in np.flatnonzero(~(np.isfinite(x) & np.isfinite(v))).tolist():
-                if errors[r] is None:
-                    errors[r] = _diverged(grid, k0 + 1, x=chunk[r], v=velocities[r])
-    return positions, errors
-
+                positions[:, i] = x
+                velocities[:, i - 1] = v
+        # a state that is not finite stays so, so the chunk's last one tells
+        for r in np.flatnonzero(~(np.isfinite(x) & np.isfinite(v))).tolist():
+            if errors[r] is None:
+                errors[r] = _diverged(grid, k0 + 1, x=positions[r, 1:], v=velocities[r])
+        yield k0, positions, errors

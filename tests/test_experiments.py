@@ -5,12 +5,15 @@ import pytest
 
 import skestim.estimate as estimate
 import skestim.experiments as experiments
+import skestim.simulate as simulate
 from skestim import (MODELS, DivergenceError, DriftModel, ObservationGrid,
                      ParameterSpace, Scheme, SweepConfig, SystemParams,
                      minimize_closed_form, objective,
                      run_consistency_sweep, run_figure1, run_gamma_diagnostic,
                      simulate_overdamped, simulate_underdamped)
 from skestim.core import philox_generator
+
+DRAW_DOUBLES = simulate._DRAW_DOUBLES  # the default noise draw budget
 
 
 def small_sweep_config(**overrides):
@@ -20,6 +23,23 @@ def small_sweep_config(**overrides):
                   x0=1.0, substeps=2)
     kwargs.update(overrides)
     return SweepConfig(**kwargs)
+
+
+def use_cubic_model(monkeypatch):
+    """Register the unstable drift b = theta x^3 as sweep model "cubic"."""
+    def cube(x):
+        return x * x * x
+
+    cubic = DriftModel("cubic", cube, cube, 0.0)
+    monkeypatch.setattr(experiments, "MODELS", dict(experiments.MODELS, cubic=lambda: cubic))
+    return cubic
+
+
+def cubic_sweep_config(base_seed):
+    # one cell of 4 replicates under the cubic drift; some escape before the
+    # horizon
+    return small_sweep_config(mu_values=[0.1], n_values=[40], delta=0.2, replicates=4,
+                              base_seed=base_seed, model_id="cubic", sigma=1.0, x0=0.5)
 
 
 class TestFigure1:
@@ -113,9 +133,14 @@ class TestConsistencySweep:
         with pytest.raises(ValueError, match="delta"):
             small_sweep_config(delta=delta)
 
-    def test_rows_equal_scalar_runs(self):
+    @pytest.mark.parametrize("draw_doubles", [DRAW_DOUBLES, 200, 23])
+    def test_rows_equal_scalar_runs(self, monkeypatch, draw_doubles):
         # each replicate's batched path and fit against one scalar run on
-        # its own noise stream; replicate 0 against the coupled run
+        # its own noise stream; replicate 0 against the coupled run. With
+        # the small budgets a cell spans several noise chunks (the n = 40
+        # cells two chunks at 200 doubles, every cell 10 or 20 at 23), and
+        # theta_hat sums the chunks' coefficients, not one row
+        monkeypatch.setattr(simulate, "_DRAW_DOUBLES", draw_doubles)
         cfg = small_sweep_config(replicates=5)
         rows = {(r.mu, r.n, r.replicate): r for r in run_consistency_sweep(cfg)}
         assert len(rows) == 2 * 2 * 5
@@ -133,7 +158,11 @@ class TestConsistencySweep:
                                                 philox_generator(cfg.base_seed, stream))
                     want = minimize_closed_form(traj, model, cfg.gamma, cfg.space)
                     row = rows[mu, n, rep]
-                    assert row.theta_hat == want.theta_hat
+                    if draw_doubles == DRAW_DOUBLES:
+                        assert row.theta_hat == want.theta_hat
+                    else:
+                        ulps = abs(row.theta_hat - want.theta_hat) / np.spacing(abs(want.theta_hat))
+                        assert ulps <= 8
                     if rep == 0:
                         over = simulate_overdamped(model, cfg.theta_true, params, grid,
                                                    philox_generator(cfg.base_seed, stream))
@@ -143,16 +172,8 @@ class TestConsistencySweep:
     def test_diverging_replicate_is_one_error_row(self, monkeypatch):
         # with this seed replicate 3 of 4 escapes under the unstable cubic
         # drift before the horizon; the message is the scalar loop's
-        def cube(x):
-            return x * x * x
-
-        cubic = DriftModel("cubic", cube, cube, 0.0)
-        monkeypatch.setattr(experiments, "MODELS",
-                            dict(experiments.MODELS, cubic=lambda: cubic))
-        cfg = small_sweep_config(mu_values=[0.1], n_values=[40], delta=0.2,
-                                 replicates=4, base_seed=3, model_id="cubic",
-                                 sigma=1.0, x0=0.5)
-        rows = run_consistency_sweep(cfg)
+        cubic = use_cubic_model(monkeypatch)
+        rows = run_consistency_sweep(cubic_sweep_config(3))
         failed = [r for r in rows if r.error is not None]
         assert [r.replicate for r in failed] == [3]
         grid = ObservationGrid.uniform(40, 0.2 * math.sqrt(40) / 40, 2)
@@ -162,6 +183,22 @@ class TestConsistencySweep:
                                  philox_generator(3, experiments._stream_id(0, 0, 3)))
         assert failed[0].error == f"DivergenceError: {scalar.value}"
         assert all(math.isfinite(r.theta_hat) for r in rows if r.error is None)
+
+    @pytest.mark.parametrize("base_seed,diverging", [(3, [3]), (5, [0, 3])])
+    def test_failed_coupled_run_fails_replicate_zero_only(self, monkeypatch,
+                                                         base_seed, diverging):
+        # the overdamped run's error is row 0's, unless that row diverged
+        # itself; the other rows keep their fits or their own errors
+        def broken(*args):
+            raise DivergenceError("overdamped run diverged")
+
+        use_cubic_model(monkeypatch)
+        monkeypatch.setattr(experiments, "simulate_overdamped", broken)
+        rows = run_consistency_sweep(cubic_sweep_config(base_seed))
+        assert [r.replicate for r in rows if r.error is not None] == sorted({0, *diverging})
+        want = "underdamped run diverged" if 0 in diverging else "overdamped run diverged"
+        assert rows[0].error.startswith(f"DivergenceError: {want}")
+        assert all(r.sup_distance is None for r in rows)
 
     def test_overflowing_fit_is_an_error_row(self):
         # constant force at theta 0 without noise keeps every path at x0, and

@@ -19,6 +19,17 @@ ZERO = MODELS["zero-drift"]()
 OU = MODELS["ou"]()
 
 
+def run_batch(*args):
+    """simulate_underdamped_batch's chunks joined into (positions, errors);
+    column 0 of each chunk must be observation k0, the last of the one before."""
+    parts, errors, k = [], None, 0
+    for k0, positions, errors in simulate_underdamped_batch(*args):
+        assert k0 == k and (k0 == 0 or positions[:, 0].tobytes() == parts[-1][:, -1].tobytes())
+        parts.append(positions if k0 == 0 else positions[:, 1:])
+        k += positions.shape[1] - 1
+    return np.concatenate(parts, axis=1), errors
+
+
 class TestUnderdamped:
 
     @pytest.mark.parametrize("scheme,mu", [(EXP, 1.0), (EXP, 1e-3), (EM, 1.0)])
@@ -107,7 +118,7 @@ class TestUnderdamped:
         with pytest.raises(ValueError, match="friction"):
             simulate_overdamped(OU, 1.0, p, grid, philox_generator(1, 0))
         with pytest.raises(ValueError, match="friction"):
-            simulate_underdamped_batch(OU, 1.0, p, grid, [philox_generator(1, 0)])
+            run_batch(OU, 1.0, p, grid, [philox_generator(1, 0)])
 
     @pytest.mark.parametrize("dt,substeps", [(1e-310, 1), (1e-320, 20)])
     def test_substep_too_small_for_the_exponential_scheme_is_rejected(self, dt,
@@ -119,15 +130,14 @@ class TestUnderdamped:
         with pytest.raises(ValueError, match="too small for the exponential"):
             simulate_underdamped(OU, 1.0, p, grid, EXP, philox_generator(1, 0))
         with pytest.raises(ValueError, match="too small for the exponential"):
-            simulate_underdamped_batch(OU, 1.0, p, grid, [philox_generator(1, 0)])
+            run_batch(OU, 1.0, p, grid, [philox_generator(1, 0)])
         # Euler-Maruyama and the overdamped step never form the quotient, and
         # without noise it is 0
         simulate_underdamped(OU, 1.0, p, grid, EM, philox_generator(1, 0))
         simulate_overdamped(OU, 1.0, p, grid, philox_generator(1, 0))
         quiet = SystemParams(mass=1e-3, friction=1.0, noise=0.0, x0=1.0)
         simulate_underdamped(OU, 1.0, quiet, grid, EXP, philox_generator(1, 0))
-        _, errors = simulate_underdamped_batch(OU, 1.0, quiet, grid,
-                                               [philox_generator(1, 0)])
+        _, errors = run_batch(OU, 1.0, quiet, grid, [philox_generator(1, 0)])
         assert errors == [None]
 
     def test_mass_over_friction_checked_only_with_mass(self):
@@ -145,8 +155,7 @@ class TestUnderdamped:
         for run in (lambda m: simulate_underdamped(m, theta, p, grid, EXP, rng),
                     lambda m: simulate_underdamped(m, theta, p, grid, EM, rng),
                     lambda m: simulate_overdamped(m, theta, p, grid, rng),
-                    lambda m: simulate_underdamped_batch(
-                        m, theta, p, grid, [philox_generator(1, 0)])):
+                    lambda m: run_batch(m, theta, p, grid, [philox_generator(1, 0)])):
             for model in (OU, ZERO):
                 with pytest.raises(ValueError, match="theta"):
                     run(model)
@@ -284,7 +293,7 @@ class TestBatch:
         p = SystemParams(mass=mu, friction=gamma, noise=sigma, x0=x0, v0=0.5)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(simulate, "_DRAW_DOUBLES", draw_doubles)
-            positions, errors = simulate_underdamped_batch(
+            positions, errors = run_batch(
                 model, theta, p, grid, [philox_generator(seed, r) for r in range(replicates)])
             wants = [simulate_underdamped(model, theta, p, grid, EXP,
                                           philox_generator(seed, r)).positions
@@ -303,7 +312,7 @@ class TestBatch:
         # do not
         grid = ObservationGrid.uniform(40, 0.2 * math.sqrt(40) / 40, 2)
         p = SystemParams(mass=0.1, friction=1.0, noise=1.0, x0=0.5)
-        positions, errors = simulate_underdamped_batch(
+        positions, errors = run_batch(
             CUBIC, 1.0, p, grid, [philox_generator(3, r) for r in range(4)])
         assert [e is None for e in errors] == [True, True, True, False]
         with pytest.raises(DivergenceError) as scalar:
@@ -403,7 +412,7 @@ def test_no_draw_exceeds_the_budget(monkeypatch):
          grid.total_substeps),
         (lambda: simulate_overdamped(model, 0.02, p, grid, philox_generator(1, 0)),
          grid.total_substeps),
-        (lambda: simulate_underdamped_batch(
+        (lambda: run_batch(
             OU, 1.0, p, batch_grid, [philox_generator(1, r) for r in range(8)]),
          8 * batch_grid.total_substeps),
     ]
@@ -496,8 +505,8 @@ def test_exponential_coefficients_once_per_distinct_width(monkeypatch, batch):
     p = SystemParams(mass=1e-3, friction=1 / 6, noise=10.0)
     if batch:  # 5 replicates of 2 substeps per interval
         grid = ObservationGrid.uniform(10_000, 0.01, 2)
-        simulate_underdamped_batch(MODELS["colloidal"](), 0.02, p, grid,
-                                   [philox_generator(1, r) for r in range(5)])
+        run_batch(MODELS["colloidal"](), 0.02, p, grid,
+                  [philox_generator(1, r) for r in range(5)])
     else:
         grid = ObservationGrid.uniform(20_000, 0.01, 10)
         simulate_underdamped(MODELS["colloidal"](), 0.02, p, grid, EXP, philox_generator(1, 0))
@@ -613,7 +622,7 @@ def test_batch_divergence_message_equals_the_per_interval_loop(monkeypatch, k):
     monkeypatch.setattr(simulate, "_DRAW_DOUBLES", 60)
     theta, p, grid = diverging_run("ou", EXP, 3, k)
     streams = [philox_generator(4, 1), philox_generator(5, 0), philox_generator(6, 0)]
-    _, errors = simulate_underdamped_batch(OU, theta, p, grid, streams)
+    _, errors = run_batch(OU, theta, p, grid, streams)
     wants = []
     for seed, stream in [(4, 1), (5, 0), (6, 0)]:
         try:
