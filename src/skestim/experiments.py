@@ -7,6 +7,7 @@ independent of execution order.
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -65,6 +66,10 @@ class SweepConfig:
             raise ValueError(f"replicates must be in [1, {_STREAM_FIELD}]")
         if len(self.n_values) > _STREAM_FIELD:
             raise ValueError(f"at most {_STREAM_FIELD} n_values are allowed")
+        for key in ("mu_values", "n_values"):  # a repeat gives two rows one key
+            value, count = Counter(getattr(self, key)).most_common(1)[0]
+            if count > 1:
+                raise ValueError(f"{key} must not repeat a value, got {value} {count} times")
         if not (self.delta > 0 and math.isfinite(self.delta)):
             raise ValueError(f"delta must be finite and > 0, got {self.delta}")
         if self.model_id not in MODELS:
@@ -89,8 +94,7 @@ def _stream_id(i_mu: int, i_n: int, replicate: int) -> int:
 
 
 def run_figure1(seed: int, n: int = FIGURE1_N, dt: float = FIGURE1_DT,
-                substeps: int = FIGURE1_SUBSTEPS,
-                curve_points: int = 401):
+                substeps: int = FIGURE1_SUBSTEPS):
     """Simulate the colloidal particle underdamped at the reference
     parameters, evaluate the objective over theta in [0, 0.04] and estimate
     theta over FIGURE1_SPACE.
@@ -105,7 +109,7 @@ def run_figure1(seed: int, n: int = FIGURE1_N, dt: float = FIGURE1_DT,
                                 Scheme.EXPONENTIAL_VELOCITY, philox_generator(seed, 0))
 
     coefficients = quadratic_coefficients(traj, model, FIGURE1_GAMMA)
-    thetas = np.linspace(0.0, 0.04, curve_points)
+    thetas = np.linspace(0.0, 0.04, 401)
     curve = objective_curve(traj, model, FIGURE1_GAMMA, thetas, coefficients)
 
     result = minimize_closed_form(traj, model, FIGURE1_GAMMA, FIGURE1_SPACE,

@@ -14,7 +14,8 @@ mass, so the default is an exponential-velocity scheme: over each substep the
 force b + sigma*dW/dt is frozen and the linear friction flow is integrated
 exactly (integrating factor exp(-gamma*dt/mu)). As mu -> 0 each substep
 degenerates to exactly the overdamped Euler-Maruyama step with the same
-Brownian increment, so coupled runs converge pathwise.
+Brownian increment, so coupled runs converge pathwise. One python-float loop,
+_scalar_run, serves these three schemes: two underdamped, one overdamped.
 """
 
 import math
@@ -39,11 +40,12 @@ class Scheme(Enum):
 _DRAW_DOUBLES = 65536
 
 
-def _check_inputs(theta: float, params: SystemParams, grid: ObservationGrid,
-                  scheme=None, **mass: float):
+def _check_inputs(theta: float, params: SystemParams, grid: ObservationGrid, scheme):
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta}")
     widths = grid.dts / grid.substeps_per_interval
+    # the mass enters only the underdamped system (scheme None: overdamped)
+    mass = {} if scheme is None else {"mu": params.mass}
     check_friction(params.friction, widths, sigma=params.noise, **mass)
     # the exponential-velocity step divides sigma by gamma times the substep
     h = float(widths.min())
@@ -69,14 +71,6 @@ def _noise_chunks(grid: ObservationGrid, rngs):
         yield k0, (dts / s).data, draw_increments(rngs, dts, s)
 
 
-def _profiles(model: DriftModel):
-    """The (b1, k) pairs a scalar loop tries a noise chunk with, b1(k * x)
-    being the model's b1: its profile and rate, a frame-free call for a
-    builtin; then, from the chunk's start again if that raised OverflowError,
-    the saturating b1_scalar, whose inf the divergence check reports."""
-    return (model.profile, model.rate), (model.b1_scalar, 1.0)
-
-
 def _exponential_coefficients(h: float, mu: float, gamma: float, sigma: float):
     """Per-substep coefficients (a, 1 - a, relax, tail, inv_sg, inv_g) of the
     exponential-velocity scheme for substep width h."""
@@ -97,36 +91,43 @@ def _diverged(grid: ObservationGrid, k: int, **state) -> DivergenceError:
                            f" (t ~ {grid.times[k]:g}): {values}")
 
 
-def simulate_underdamped(model: DriftModel, theta: float, params: SystemParams,
-                         grid: ObservationGrid, scheme: Scheme, rng) -> Trajectory:
-    """Integrate the underdamped system on the noise the generator rng draws
-    next; returns positions and velocities at the observation times
-    (internal substeps are discarded)."""
-    euler = scheme is Scheme.EULER_MARUYAMA
-    _check_inputs(theta, params, grid, scheme, mu=params.mass)
+def _scalar_run(model: DriftModel, theta: float, params: SystemParams,
+                grid: ObservationGrid, scheme, rng) -> Trajectory:
+    """One path on the noise the generator rng draws next, in python floats:
+    the underdamped system under scheme, or its overdamped limit when scheme
+    is None (then no velocity is kept). Returns the observations only."""
+    _check_inputs(theta, params, grid, scheme)
     mu, gamma, sigma = params.mass, params.friction, params.noise
-    x = float(params.x0)
-    v = float(params.v0)
+    overdamped, euler = scheme is None, scheme is Scheme.EULER_MARUYAMA
+    x, v = float(params.x0), 0.0 if overdamped else float(params.v0)
     b0 = model.b0
     s = grid.substeps_per_interval
 
-    positions = array("d", [x])
-    velocities = array("d", [v])
+    positions, velocities = array("d", [x]), array("d", [v])
+    buffers = {"x": positions} if overdamped else {"x": positions, "v": velocities}
     put_x, put_v = positions.append, velocities.append
     coefficients = {}  # per distinct substep width; a uniform grid has few
-    cs = sigma / mu
+    cs = sigma / gamma if overdamped else sigma / mu
     for k0, widths, block in _noise_chunks(grid, [rng]):
         start = x, v
-        for b1, k in _profiles(model):
+        # b1(k * x) is the model's b1: its profile and rate, a frame-free call
+        # for a builtin; then, from the chunk's start again if that raised
+        # OverflowError, the saturating b1_scalar, whose inf is reported below
+        for b1, k in (model.profile, model.rate), (model.b1_scalar, 1.0):
             steps = iter(block[0].data)
             try:
                 for h, dws in zip(widths, zip(*[steps] * s)):  # each interval's s increments
-                    if euler:
+                    if overdamped:
+                        cb = h / gamma
+                        for dw in dws:
+                            x = x + (theta * b1(k * x) + b0) * cb + cs * dw
+                    elif euler:
                         cb = h / mu
                         cg = gamma * h / mu
                         for dw in dws:
                             b = theta * b1(k * x) + b0
                             x, v = x + v * h, v + b * cb - v * cg + cs * dw
+                        put_v(v)
                     else:
                         c = coefficients.get(h)
                         if c is None:
@@ -136,52 +137,35 @@ def simulate_underdamped(model: DriftModel, theta: float, params: SystemParams,
                             f = (theta * b1(k * x) + b0) * inv_g + inv_sg * dw
                             x = x + relax * v + tail * f
                             v = a * v + one_a * f
+                        put_v(v)
                     put_x(x)
-                    put_v(v)
                 break
             except OverflowError:
-                del positions[k0 + 1:], velocities[k0 + 1:]
+                for buffer in buffers.values():
+                    del buffer[k0 + 1:]
                 x, v = start
         # a state that is not finite stays so, so the chunk's last one tells
         if not (math.isfinite(x) and math.isfinite(v)):
-            raise _diverged(grid, k0 + 1, x=np.frombuffer(positions)[k0 + 1:],
-                            v=np.frombuffer(velocities)[k0 + 1:])
+            raise _diverged(grid, k0 + 1, **{name: np.frombuffer(buffer)[k0 + 1:]
+                                             for name, buffer in buffers.items()})
 
     return Trajectory(grid=grid, positions=np.frombuffer(positions),
-                      velocities=np.frombuffer(velocities))
+                      velocities=None if overdamped else np.frombuffer(velocities))
+
+
+def simulate_underdamped(model: DriftModel, theta: float, params: SystemParams,
+                         grid: ObservationGrid, scheme: Scheme, rng) -> Trajectory:
+    """Integrate the underdamped system on the noise the generator rng draws
+    next; returns positions and velocities at the observation times
+    (internal substeps are discarded)."""
+    return _scalar_run(model, theta, params, grid, scheme, rng)
 
 
 def simulate_overdamped(model: DriftModel, theta: float, params: SystemParams,
                         grid: ObservationGrid, rng) -> Trajectory:
     """Euler-Maruyama integration of the overdamped limit on the noise the
     generator rng draws next; velocities absent."""
-    _check_inputs(theta, params, grid)
-    gamma, sigma = params.friction, params.noise
-    x = float(params.x0)
-    b0 = model.b0
-    s = grid.substeps_per_interval
-
-    positions = array("d", [x])
-    put_x = positions.append
-    cs = sigma / gamma
-    for k0, widths, block in _noise_chunks(grid, [rng]):
-        start = x
-        for b1, k in _profiles(model):
-            steps = iter(block[0].data)
-            try:
-                for h, dws in zip(widths, zip(*[steps] * s)):  # each interval's s increments
-                    cb = h / gamma
-                    for dw in dws:
-                        x = x + (theta * b1(k * x) + b0) * cb + cs * dw
-                    put_x(x)
-                break
-            except OverflowError:
-                del positions[k0 + 1:]
-                x = start
-        if not math.isfinite(x):
-            raise _diverged(grid, k0 + 1, x=np.frombuffer(positions)[k0 + 1:])
-
-    return Trajectory(grid=grid, positions=np.frombuffer(positions))
+    return _scalar_run(model, theta, params, grid, None, rng)
 
 
 def simulate_underdamped_batch(model: DriftModel, theta: float,
@@ -198,7 +182,7 @@ def simulate_underdamped_batch(model: DriftModel, theta: float,
     or, from the chunk where it diverges on, the DivergenceError that run
     would raise; the row is then not finite from that observation on.
     """
-    _check_inputs(theta, params, grid, Scheme.EXPONENTIAL_VELOCITY, mu=params.mass)
+    _check_inputs(theta, params, grid, Scheme.EXPONENTIAL_VELOCITY)
     mu, gamma, sigma = params.mass, params.friction, params.noise
     b1, b0 = model.b1, model.b0
     s = grid.substeps_per_interval

@@ -569,6 +569,13 @@ class TestSweepCommand:
         assert proc.returncode == 1
         assert "typo_key" in proc.stderr
 
+    def test_repeated_mu_value_exits_1(self, tmp_path):
+        (tmp_path / "sweep.cfg").write_text(SWEEP_CFG.replace("0.1, 0.01", "0.01, 1e-2"))
+        proc = run_cli(["sweep", "--config", "sweep.cfg"], cwd=tmp_path)
+        assert proc.returncode == 1
+        assert proc.stderr == "error: mu_values must not repeat a value, got 0.01 2 times\n"
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_flag_overrides_config(self, tmp_path):
         (tmp_path / "sweep.cfg").write_text(SWEEP_CFG)
         proc = run_cli(["sweep", "--config", "sweep.cfg", "--replicates", "1"],

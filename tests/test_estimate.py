@@ -10,7 +10,7 @@ from skestim import (DriftModel, IdentifiabilityError, MODELS,
                      minimize_golden, objective, objective_curve, simulate_overdamped,
                      simulate_underdamped, uniform_objective_gap)
 from skestim.core import philox_generator
-from skestim.estimate import (_path_objective, clipped_vertex,
+from skestim.estimate import (_path_objective, _residual_parts, clipped_vertex,
                               path_coefficients, quadratic_coefficients)
 
 EXP = Scheme.EXPONENTIAL_VELOCITY
@@ -212,9 +212,20 @@ class TestGolden:
         traj = simulate_ou_dataset(seed=4)
         space = ParameterSpace(-2.0, 4.0)
         thetas = np.arange(space.lo, space.hi + 1e-9, 1e-5)
+        # the objective at every theta, a block of thetas a row each, in the
+        # evaluator's order: r = d - scale * (theta * g + b0), sum(r * r / dts)
+        dts = traj.grid.dts
+        xprev, d, scale = _residual_parts(traj.positions, dts, 1.0)
+        g = OU.b1(xprev)
+        vals = []
+        for block in np.array_split(thetas, 20):
+            r = d - scale * (block[:, None] * g + OU.b0)
+            vals.append(np.sum(r * r / dts, axis=-1))
+        vals = np.concatenate(vals)
         # objective() is this evaluator used once: the same doubles
         f = _path_objective(traj, OU, 1.0)
-        vals = [f(t) for t in thetas]
+        some = np.linspace(0, len(thetas) - 1, 101).astype(int)
+        assert np.array_equal(vals[some], [f(t) for t in thetas[some]])
         brute = thetas[int(np.argmin(vals))]
         res = minimize_golden(traj, OU, 1.0, space, tol=1e-8)
         assert abs(res.theta_hat - brute) <= 1e-5

@@ -52,8 +52,8 @@ class TestFigure1:
         assert np.array_equal(a[1][1], b[1][1])
 
     def test_curve_matches_direct_objective(self):
-        traj, (thetas, curve), _ = run_figure1(seed=3, n=300, dt=0.01,
-                                               substeps=5, curve_points=21)
+        traj, (thetas, curve), _ = run_figure1(seed=3, n=300, dt=0.01, substeps=5)
+        assert len(thetas) == 401
         model = MODELS["colloidal"]()
         direct = [objective(traj, model, 1 / 6, t) for t in thetas]
         assert np.allclose(curve, direct, rtol=1e-9)
@@ -228,6 +228,15 @@ class TestConsistencySweep:
             small_sweep_config(replicates=2 ** 20 + 1)
         with pytest.raises(ValueError, match="n_values"):
             small_sweep_config(n_values=[2] * (2 ** 20 + 1))
+
+    @pytest.mark.parametrize("key,values,shown", [
+        ("mu_values", [0.01, 1e-2], "0.01"),
+        ("n_values", [50, 10, 50], "50"),
+    ])
+    def test_rejects_a_repeated_value(self, key, values, shown):
+        # two cells with one (mu, n) would write two rows per (mu, n, replicate)
+        with pytest.raises(ValueError, match=f"^{key} must not repeat a value, got {shown} 2 times$"):
+            small_sweep_config(**{key: values})
 
     def test_programming_errors_propagate(self, monkeypatch):
         def broken(*args, **kwargs):
