@@ -11,9 +11,6 @@ from .core import (
     ObservationGrid,
     SystemParams,
     Trajectory,
-    colloidal_model,
-    ou_model,
-    zero_drift_model,
 )
 from .estimate import (
     EstimationResult,

@@ -107,7 +107,7 @@ def _build_parser():
 
 
 def _cmd_simulate(args) -> int:
-    model = MODELS[args.model]()
+    model = MODELS[args.model]
     params = SystemParams(mass=args.mu, friction=args.gamma, noise=args.sigma,
                           x0=args.x0, v0=args.v0)
     grid = ObservationGrid.uniform(args.n, args.dt, args.substeps)
@@ -130,7 +130,7 @@ def _cmd_estimate(args) -> int:
     if args.curve_points < 1:
         raise ConfigError(f"--curve-points must be >= 1, got {args.curve_points}")
     traj = io.read_trajectory_csv(args.traj)
-    model = MODELS[args.model]()
+    model = MODELS[args.model]
     space = ParameterSpace(args.theta_lo, args.theta_hi)
     coefficients = None  # the closed form's, which the curve reuses
     if args.method == "closed-form":

@@ -2,9 +2,9 @@
 
 All types are plain immutable dataclasses; the particle is one-dimensional
 and its state is a python float. Each drift model gives its position
-dependence twice: on a numpy array of positions, so the estimator can
-evaluate a whole trajectory in one call, and on a python float, as a
-profile and a rate, b1(x) == profile(rate * x), for the integrators.
+dependence once, as a profile and a rate, b1(x) == profile(rate * x): the
+integrators apply it to python floats and the estimator to a numpy array
+of positions, so that it evaluates a whole trajectory in one call.
 """
 
 import math
@@ -35,33 +35,40 @@ DEBYE_LENGTH_NM = 18.0
 G_EFF = (4.0 / 3.0) * math.pi * (1.31 / 2.0) ** 2 * 0.51 * 9.8e-3
 
 
+# math.exp takes python floats only; np.exp, its array form, rounds some
+# inputs differently, so the estimator keeps it and the integrators math.exp
+_ARRAY_PROFILE = {math.exp: np.exp}
+
+
 @dataclass(frozen=True)
 class DriftModel:
-    """A drift field linear in theta: b(x, theta) = theta * b1(x) + b0.
+    """A drift field linear in theta: b(x, theta) = theta * b1(x) + b0,
+    with b1(x) == profile(rate * x).
 
     Parameters
     ----------
     name : str
         Identifier used by the CLI model registry.
-    b1 : callable
-        Position dependence, on a numpy array of positions (the estimator).
-        A position-independent b1 may return a float; callers broadcast it.
     profile : callable
-        With rate, the same function on a python float (the integrators):
-        b1(x) == profile(rate * x). A builtin profile, such as math.exp,
-        costs the integrators' inner loops no Python frame.
+        Position dependence on rate * x: a python float in the integrators,
+        where a builtin such as math.exp costs no Python frame, and an array
+        in b1, with math.exp as np.exp.
     b0 : float
         The theta-independent part of the drift.
     rate : float
-        The factor on x; 1.0 * x is x exactly, so a profile with the
-        default rate is b1 itself on a float.
+        The factor on x. 1.0 * x is x exactly, so b1 skips that array pass.
     """
 
     name: str
-    b1: Callable
     profile: Callable
     b0: float
     rate: float = 1.0
+
+    def b1(self, x: np.ndarray):
+        """b1 on a numpy array of positions (the estimator). A
+        position-independent b1 may return a float; callers broadcast it."""
+        profile = _ARRAY_PROFILE.get(self.profile, self.profile)
+        return profile(x if self.rate == 1.0 else self.rate * x)
 
     def b1_scalar(self, x: float) -> float:
         """b1 on a python float, inf where the profile overflows; the
@@ -73,54 +80,26 @@ class DriftModel:
             return math.inf
 
 
-def colloidal_model() -> DriftModel:
-    """Exponential surface force minus constant effective gravity.
-
-    F(x, theta) = theta * exp(-x / 18) - G_EFF in (g, nm, s) units, with
-    x the distance from the wall and theta the surface-charge prefactor.
-    """
-    inv_debye = 1.0 / DEBYE_LENGTH_NM
-
-    def b1(x):
-        return np.exp(-inv_debye * x)
-
-    return DriftModel("colloidal", b1, math.exp, -G_EFF, -inv_debye)
+def _zero(x):
+    return 0.0
 
 
-def ou_model() -> DriftModel:
-    """Mean-reverting test model b(x, theta) = -theta * x."""
-
-    def b1(x):
-        return -x
-
-    # neg(1.0 * x) is -x bit for bit, -0.0 included
-    return DriftModel("ou", b1, operator.neg, 0.0)
+def _one(x):
+    return 1.0
 
 
-def zero_drift_model() -> DriftModel:
-    """b(x, theta) = 0; pure noise / free relaxation runs."""
-
-    def b1(x):
-        return 0.0
-
-    return DriftModel("zero-drift", b1, b1, 0.0)
-
-
-def constant_force_model() -> DriftModel:
-    """b(x, theta) = theta, independent of position."""
-
-    def b1(x):
-        return 1.0
-
-    return DriftModel("constant-force", b1, b1, 0.0)
-
-
-MODELS = {
-    "colloidal": colloidal_model,
-    "ou": ou_model,
-    "zero-drift": zero_drift_model,
-    "constant-force": constant_force_model,
-}
+MODELS = {model.name: model for model in [
+    # F(x, theta) = theta * exp(-x / 18) - G_EFF in (g, nm, s) units, with x
+    # the distance from the wall and theta the surface-charge prefactor
+    DriftModel("colloidal", math.exp, -G_EFF, -1.0 / DEBYE_LENGTH_NM),
+    # mean reversion, b(x, theta) = -theta * x; neg(1.0 * x) is -x bit for
+    # bit, -0.0 included
+    DriftModel("ou", operator.neg, 0.0),
+    # b(x, theta) = 0: pure noise / free relaxation runs
+    DriftModel("zero-drift", _zero, 0.0),
+    # b(x, theta) = theta, independent of position
+    DriftModel("constant-force", _one, 0.0),
+]}
 
 
 @dataclass(frozen=True)

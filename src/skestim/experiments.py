@@ -101,7 +101,7 @@ def run_figure1(seed: int, n: int = FIGURE1_N, dt: float = FIGURE1_DT,
 
     Returns (trajectory, (theta grid, objective values), EstimationResult).
     """
-    model = MODELS["colloidal"]()
+    model = MODELS["colloidal"]
     params = SystemParams(mass=FIGURE1_MU, friction=FIGURE1_GAMMA,
                           noise=FIGURE1_SIGMA, x0=0.0, v0=0.0)
     grid = ObservationGrid.uniform(n, dt, substeps)
@@ -172,7 +172,7 @@ def run_consistency_sweep(cfg: SweepConfig) -> List[SweepRow]:
     T = delta * sqrt(n) and uniform spacing T/n. Replicate 0 of each cell also
     runs the coupled small-mass diagnostic. Cells that fail with a
     RuntimeError or ValueError become error rows; other exceptions propagate."""
-    model = MODELS[cfg.model_id]()
+    model = MODELS[cfg.model_id]
     rows = []
     for i_mu, mu in enumerate(cfg.mu_values):
         params = SystemParams(mass=mu, friction=cfg.gamma, noise=cfg.sigma,
@@ -196,7 +196,7 @@ def run_gamma_diagnostic(mu_values: Sequence[float], n: int, seed: int,
     """
     if not mu_values:
         raise ValueError("mu_values must be non-empty")
-    model = MODELS["colloidal"]()
+    model = MODELS["colloidal"]
     grid = ObservationGrid.uniform(n, dt, substeps)
     out = []
     for i, mu in enumerate(mu_values):

@@ -52,10 +52,14 @@ def atomic_write_text(path: str, chunks):
     beside path and rename it over path; on any failure path is untouched
     and the temporary file is removed."""
     directory = os.path.dirname(os.path.abspath(path))
+    umask = os.umask(0)  # read only by setting it
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".csv")
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.writelines(chunks)
+        # mkstemp makes the file 0600; give it the mode open() would
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -192,8 +196,9 @@ def write_sweep_csv(path: str, rows):
 
 
 def parse_config_file(path: str) -> dict:
-    """Flat key = value lines; '#' starts a comment. Returns raw strings."""
-    values = {}
+    """Flat key = value lines; '#' starts a comment. Returns raw strings;
+    a key given twice is an error."""
+    values, linenos = {}, {}
     try:
         with open(path) as fh:
             raw_lines = fh.readlines()
@@ -209,7 +214,9 @@ def parse_config_file(path: str) -> dict:
         key = key.strip()
         if not key:
             raise ConfigError(f"{path}:{lineno}: empty key")
-        values[key] = value.strip().strip('"')
+        if key in values:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} repeats line {linenos[key]}")
+        values[key], linenos[key] = value.strip().strip('"'), lineno
     return values
 
 

@@ -189,7 +189,7 @@ def simulate_underdamped_batch(model: DriftModel, theta: float,
     x = np.full(len(rngs), float(params.x0))
     v = np.full(len(rngs), float(params.v0))
     errors = [None] * len(rngs)
-    coefficients = {}  # per distinct substep width, as in simulate_underdamped
+    coefficients = {}  # per distinct substep width, as in _scalar_run
 
     for k0, widths, block in _noise_chunks(grid, rngs):
         steps = iter(block.T)

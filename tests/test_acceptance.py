@@ -24,7 +24,7 @@ from skestim import (MODELS, ObservationGrid, ParameterSpace,
 from skestim.core import philox_generator
 
 EXP = Scheme.EXPONENTIAL_VELOCITY
-OU = MODELS["ou"]()
+OU = MODELS["ou"]
 
 
 def record(num, label, ok, detail):
@@ -54,7 +54,7 @@ def test_2_zero_noise_exactness():
     worst = 0.0
     for model_name, theta0, gamma, x0 in [("colloidal", 0.02, 1 / 6, 0.0),
                                           ("ou", 1.0, 1.0, 1.0)]:
-        model = MODELS[model_name]()
+        model = MODELS[model_name]
         grid = ObservationGrid.uniform(200, 0.05, 1)
         p = SystemParams(mass=1.0, friction=gamma, noise=0.0, x0=x0)
         traj = simulate_overdamped(model, theta0, p, grid, philox_generator(0, 0))
@@ -86,7 +86,7 @@ def test_3_closed_form_vs_golden():
 def test_4_small_mass_coupling():
     start = time.perf_counter()
     grid = ObservationGrid.uniform(1000, 0.01, 10)
-    model = MODELS["colloidal"]()
+    model = MODELS["colloidal"]
     sups = []
     for mu in [1e-1, 1e-2, 1e-3]:
         p = SystemParams(mass=mu, friction=1 / 6, noise=10.0, x0=0.0, v0=0.0)
@@ -141,7 +141,7 @@ def test_7_simulator_oracles():
     mu, gamma, sigma = 1e-2, 1.0 / 6.0, 10.0
     vgrid = ObservationGrid.uniform(5000, 0.01, 10)
     vp = SystemParams(mass=mu, friction=gamma, noise=sigma, x0=0.0, v0=0.0)
-    traj = simulate_underdamped(MODELS["zero-drift"](), 0.0, vp, vgrid, EXP,
+    traj = simulate_underdamped(MODELS["zero-drift"], 0.0, vp, vgrid, EXP,
                                 philox_generator(3, 0))
     v = traj.velocities[500:]  # burn-in 5 s >> mu/gamma = 0.06 s
     target = sigma ** 2 / (2.0 * gamma * mu)

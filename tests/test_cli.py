@@ -244,7 +244,7 @@ class TestEstimateCommand:
         thetas, values = data[:, 0], data[:, 1]
         assert np.all(np.diff(thetas) > 0)
         traj = io.read_trajectory_csv(str(tmp_path / "hand.csv"))
-        model = MODELS["constant-force"]()
+        model = MODELS["constant-force"]
         direct = [objective(traj, model, 1.0, t) for t in thetas]
         assert np.allclose(values, direct, rtol=1e-12)
 
@@ -569,6 +569,14 @@ class TestSweepCommand:
         assert proc.returncode == 1
         assert "typo_key" in proc.stderr
 
+    def test_repeated_key_exits_1(self, tmp_path):
+        # the first value is not silently replaced by the last
+        (tmp_path / "sweep.cfg").write_text(SWEEP_CFG + "replicates = 1\n")
+        proc = run_cli(["sweep", "--config", "sweep.cfg"], cwd=tmp_path)
+        assert proc.returncode == 1
+        assert proc.stderr == "error: sweep.cfg:12: key 'replicates' repeats line 5\n"
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_repeated_mu_value_exits_1(self, tmp_path):
         (tmp_path / "sweep.cfg").write_text(SWEEP_CFG.replace("0.1, 0.01", "0.01, 1e-2"))
         proc = run_cli(["sweep", "--config", "sweep.cfg"], cwd=tmp_path)
@@ -609,8 +617,11 @@ class TestSweepCommand:
     ], ids=["ou", "error-rows"])
     def test_csv_frozen(self, tmp_path, case, code, digest):
         # SHA-256 of sweep.csv; the error rows' messages hold commas, written
-        # as semicolons, and their sup_distance is empty
-        (tmp_path / "sweep.cfg").write_text(SWEEP_CFG + case)
+        # as semicolons, and their sup_distance is empty. The case's keys
+        # replace SWEEP_CFG's lines, since a key given twice is an error
+        keys = {line.split("=")[0] for line in case.splitlines()}
+        kept = [line for line in SWEEP_CFG.splitlines(True) if line.split("=")[0] not in keys]
+        (tmp_path / "sweep.cfg").write_text("".join(kept) + case)
         out = tmp_path / "sweep.csv"
         assert cli.main(["sweep", "--config", str(tmp_path / "sweep.cfg"),
                          "--out", str(out)]) == code

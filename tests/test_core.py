@@ -11,8 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from noise_reference import make_noise_path
 import skestim
-from skestim import (G_EFF, MODELS, ObservationGrid, SystemParams, Trajectory,
-                     colloidal_model, ou_model)
+from skestim import DriftModel, G_EFF, MODELS, ObservationGrid, SystemParams, Trajectory
 from skestim import core
 from skestim.core import _stream_key, check_friction, draw_increments, philox_generator
 
@@ -174,27 +173,27 @@ class TestColloidalModel:
         assert G_EFF == pytest.approx(8.981e-3, rel=1e-3)
 
     def test_force_at_wall(self):
-        model = colloidal_model()
+        model = MODELS["colloidal"]
         for theta in [0.0, 0.02, 1.7]:
             assert theta * model.b1_scalar(0.0) + model.b0 == pytest.approx(
                 theta - G_EFF_ORACLE)
 
     def test_force_at_debye_length(self):
         # x = 18 nm, one Debye length: the exponential term decays by 1/e
-        model = colloidal_model()
+        model = MODELS["colloidal"]
         theta = 0.02
         assert theta * model.b1_scalar(18.0) + model.b0 == pytest.approx(
             theta / math.e - G_EFF_ORACLE, rel=1e-14)
 
     def test_monotone_in_theta(self):
-        model = colloidal_model()
+        model = MODELS["colloidal"]
         xs = np.linspace(0.0, 200.0, 50)
         f_lo = 0.01 * model.b1(xs) + model.b0
         f_hi = 0.02 * model.b1(xs) + model.b0
         assert np.all(f_lo < f_hi)
 
     def test_vectorized_matches_scalar(self):
-        model = colloidal_model()
+        model = MODELS["colloidal"]
         xs = np.array([0.0, 5.0, 18.0, 100.0])
         vec = model.b1(xs)
         assert np.allclose(vec, [model.b1_scalar(float(x)) for x in xs], rtol=1e-15)
@@ -203,7 +202,7 @@ class TestColloidalModel:
 def test_colloidal_b1_scalar_is_exp_until_it_overflows():
     # b1_scalar is exp(-x / 18) wherever that is a double, 1e308 included,
     # and inf where math.exp raises OverflowError
-    model = colloidal_model()
+    model = MODELS["colloidal"]
     assert model.b1_scalar(-709.5 * 18.0) == math.exp(709.5) > 1e308
     assert model.b1_scalar(-13000.0) == math.inf
     with pytest.raises(OverflowError):
@@ -211,18 +210,60 @@ def test_colloidal_b1_scalar_is_exp_until_it_overflows():
 
 
 def test_ou_model_by_definition():
-    model = ou_model()
+    model = MODELS["ou"]
     assert 3.0 * model.b1_scalar(2.0) + model.b0 == -6.0
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_linear_decomposition_consistency(name):
     # b1 on an array equals b1_scalar on each of 1000 random positions
-    model = MODELS[name]()
+    model = MODELS[name]
     x = np.random.default_rng(11).uniform(-50.0, 200.0, 1000)
     on_array = np.broadcast_to(model.b1(x), x.shape)
     per_element = [model.b1_scalar(float(xi)) for xi in x]
     np.testing.assert_allclose(on_array, per_element, rtol=1e-15)
+
+
+# each model's b1 on an array, written out by hand
+ARRAY_B1 = {
+    "colloidal": lambda x: np.exp(-(1 / 18) * x),
+    "ou": lambda x: -x,
+    "zero-drift": lambda x: 0.0,
+    "constant-force": lambda x: 1.0,
+}
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_array_b1_equals_the_hand_written_form_bit_for_bit(name):
+    # np.exp, not math.exp, on the array: the two differ in the last bit on
+    # some inputs; ±0.0, subnormals, ±1e300 and colloidal's overflow region
+    # below -709.78 * 18 included
+    tiny = 5e-324
+    x = np.r_[0.0, -0.0, tiny, -tiny, 2.2e-308, -2.2e-308, 1e300, -1e300,
+              -12776.0, -12777.0, -13000.0, np.linspace(-12800.0, 12800.0, 5001),
+              np.random.default_rng(3).uniform(-700.0, 700.0, 5000)]
+    model = MODELS[name]
+    with np.errstate(all="ignore"):
+        got, want = model.b1(x), ARRAY_B1[name](x)
+    assert type(got) is type(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    if name == "ou":
+        assert list(np.signbit(got[:2])) == [True, False]
+
+
+@pytest.mark.parametrize("rate", [1.0, 3.0])
+def test_array_b1_applies_a_profile_outside_the_map_to_the_array(rate):
+    seen = []
+
+    def cube(z):
+        seen.append(z)
+        return z * z * z
+
+    x = np.array([-1.5, 0.0, 2.0])
+    got = DriftModel("cubic", cube, 0.0, rate).b1(x)
+    assert len(seen) == 1 and type(seen[0]) is np.ndarray
+    z = rate * x
+    assert seen[0].tobytes() == z.tobytes() and got.tobytes() == (z * z * z).tobytes()
 
 
 class TestSystemParams:

@@ -14,8 +14,8 @@ from skestim.estimate import (_path_objective, _residual_parts, clipped_vertex,
                               path_coefficients, quadratic_coefficients)
 
 EXP = Scheme.EXPONENTIAL_VELOCITY
-CONST_FORCE = MODELS["constant-force"]()
-OU = MODELS["ou"]()
+CONST_FORCE = MODELS["constant-force"]
+OU = MODELS["ou"]
 
 
 def hand_trajectory():
@@ -43,7 +43,7 @@ class TestObjective:
         # data generated by the same Euler step with sigma=0 and a
         # theta-independent drift leaves zero residuals for every theta
         gamma, c = 2.0, 0.4
-        model = DriftModel("const", lambda x: 0.0, lambda x: 0.0, gamma * c)
+        model = DriftModel("const", lambda x: 0.0, gamma * c)
         grid = ObservationGrid([0.0, 0.5, 0.7, 1.9])
         traj = Trajectory(grid=grid, positions=c * grid.times)
         for theta in [0.0, 1.0, -3.0]:
@@ -131,7 +131,7 @@ class TestClosedForm:
         traj = Trajectory(grid=ObservationGrid([0.0, 1.0, 2.0]),
                           positions=np.array([5000.0, 5001.0, 5000.5]))
         with pytest.raises(ValueError, match=r"inf at theta=.*\[0, 1e\+300\]"):
-            minimize_closed_form(traj, MODELS["colloidal"](), 1e-160,
+            minimize_closed_form(traj, MODELS["colloidal"], 1e-160,
                                  ParameterSpace(0.0, 1e300))
 
     def test_non_finite_objective_at_the_clipped_vertex(self):
@@ -169,7 +169,7 @@ class TestClosedForm:
         # sigma=0 data from the overdamped Euler scheme on the observation
         # grid: residuals vanish identically at the true theta
         for model_name, theta0, x0 in [("colloidal", 0.02, 0.0), ("ou", 1.0, 1.0)]:
-            model = MODELS[model_name]()
+            model = MODELS[model_name]
             gamma = 1 / 6 if model_name == "colloidal" else 1.0
             grid = ObservationGrid.uniform(200, 0.05, 1)
             p = SystemParams(mass=1.0, friction=gamma, noise=0.0, x0=x0)
@@ -255,7 +255,7 @@ class TestGolden:
         # zero drift: the objective does not depend on theta at all
         traj = simulate_ou_dataset(seed=1)
         with pytest.raises(IdentifiabilityError, match="flat"):
-            minimize_golden(traj, MODELS["zero-drift"](), 1.0,
+            minimize_golden(traj, MODELS["zero-drift"], 1.0,
                             ParameterSpace(-5.0, 5.0))
 
     def test_non_finite_objective_raises(self):
@@ -293,7 +293,7 @@ class TestGolden:
             calls.append(len(x))
             return -x
 
-        model = DriftModel("ou-spy", b1, OU.b1_scalar, 0.0)
+        model = DriftModel("ou-spy", b1, 0.0)
         traj = simulate_ou_dataset(seed=3)
         res = minimize_golden(traj, model, 1.0, ParameterSpace(-5.0, 5.0))
         assert res.evaluations == 152
@@ -312,7 +312,7 @@ def reference_objective(traj, model, friction, theta):
 def test_path_objective_equals_the_per_theta_expression(name):
     # one evaluator serves every theta; constant-force and zero-drift have
     # a scalar b1
-    model = MODELS[name]()
+    model = MODELS[name]
     friction = 1 / 6 if name == "colloidal" else 1.0
     grid = ObservationGrid(np.cumsum(np.r_[0.0, np.linspace(0.05, 0.15, 80)]))
     p = SystemParams(mass=1.0, friction=friction, noise=0.5, x0=1.0)
@@ -342,7 +342,7 @@ RANDOM_PATH_CASES = {
 def test_golden_agrees_with_closed_form_on_random_paths(name, seed, n, frac,
                                                        sigma, x0):
     friction, (lo, hi), space = RANDOM_PATH_CASES[name]
-    model = MODELS[name]()
+    model = MODELS[name]
     grid = ObservationGrid.uniform(n, 0.1, 1)
     p = SystemParams(mass=1.0, friction=friction, noise=sigma, x0=x0)
     traj = simulate_overdamped(model, lo + frac * (hi - lo), p, grid,
@@ -375,7 +375,7 @@ class TestUniformObjectiveGap:
 
     def coupled_colloidal(self, mu, n=500):
         grid = ObservationGrid.uniform(n, 0.1, 20)
-        model = MODELS["colloidal"]()
+        model = MODELS["colloidal"]
         p = SystemParams(mass=mu, friction=1 / 6, noise=10.0, x0=0.0, v0=0.0)
         under = simulate_underdamped(model, 0.02, p, grid, EXP, philox_generator(12, 0))
         over = simulate_overdamped(model, 0.02, p, grid, philox_generator(12, 0))
@@ -422,7 +422,7 @@ def test_row_fits_equal_the_closed_form_per_row(name, rows, n, seed, scale):
     # random walks on a non-uniform grid; each row's sums, vertex, clip and
     # identifiability error must be those of the path fitted alone
     friction, _, space = RANDOM_PATH_CASES[name]
-    model = MODELS[name]()
+    model = MODELS[name]
     rng = np.random.default_rng(seed)
     grid = ObservationGrid(np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 0.2, n))]))
     positions = rng.uniform(-1.0, 1.0, (rows, 1)) + np.concatenate(

@@ -30,8 +30,8 @@ def use_cubic_model(monkeypatch):
     def cube(x):
         return x * x * x
 
-    cubic = DriftModel("cubic", cube, cube, 0.0)
-    monkeypatch.setattr(experiments, "MODELS", dict(experiments.MODELS, cubic=lambda: cubic))
+    cubic = DriftModel("cubic", cube, 0.0)
+    monkeypatch.setattr(experiments, "MODELS", dict(experiments.MODELS, cubic=cubic))
     return cubic
 
 
@@ -54,7 +54,7 @@ class TestFigure1:
     def test_curve_matches_direct_objective(self):
         traj, (thetas, curve), _ = run_figure1(seed=3, n=300, dt=0.01, substeps=5)
         assert len(thetas) == 401
-        model = MODELS["colloidal"]()
+        model = MODELS["colloidal"]
         direct = [objective(traj, model, 1 / 6, t) for t in thetas]
         assert np.allclose(curve, direct, rtol=1e-9)
 
@@ -71,7 +71,7 @@ class TestFigure1:
                             lambda *args: calls.append(1) or path_coefficients(*args))
         traj, (thetas, curve), res = run_figure1(seed=3, n=300, dt=0.01, substeps=5)
         assert len(calls) == 1
-        model = MODELS["colloidal"]()
+        model = MODELS["colloidal"]
         a, b, c = estimate.quadratic_coefficients(traj, model, 1 / 6)
         assert curve.tobytes() == ((a * thetas + b) * thetas + c).tobytes()
         assert res.objective_at_min == objective(traj, model, 1 / 6, res.theta_hat)
@@ -144,7 +144,7 @@ class TestConsistencySweep:
         cfg = small_sweep_config(replicates=5)
         rows = {(r.mu, r.n, r.replicate): r for r in run_consistency_sweep(cfg)}
         assert len(rows) == 2 * 2 * 5
-        model = MODELS["ou"]()
+        model = MODELS["ou"]
         for i_mu, mu in enumerate(cfg.mu_values):
             params = SystemParams(mass=mu, friction=cfg.gamma, noise=cfg.sigma,
                                   x0=cfg.x0, v0=cfg.v0)

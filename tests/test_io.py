@@ -1,3 +1,5 @@
+import os
+import stat
 import tracemalloc
 
 import numpy as np
@@ -225,6 +227,21 @@ def test_no_temp_files_left_behind(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["a.csv"]
 
 
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_written_file_gets_the_mode_open_gives(tmp_path, umask):
+    # the temporary file mkstemp makes is 0600; the file renamed over the
+    # target gets 0666 less the umask, as one open() creates does
+    traj = Trajectory(grid=ObservationGrid([0.0, 1.0]), positions=np.array([0.0, 2.0]))
+    old = os.umask(umask)
+    try:
+        io.write_trajectory_csv(str(tmp_path / "a.csv"), traj)
+        (tmp_path / "b.csv").write_text("")
+    finally:
+        os.umask(old)
+    modes = [stat.S_IMODE((tmp_path / name).stat().st_mode) for name in ("a.csv", "b.csv")]
+    assert modes == [0o666 & ~umask] * 2
+
+
 def underdamped_trajectory(n):
     rng = np.random.default_rng(5)
     return Trajectory(grid=ObservationGrid.uniform(n - 1, 0.01),
@@ -285,6 +302,12 @@ class TestConfigParser:
         cfg = tmp_path / "c.cfg"
         cfg.write_text("model = ou\nthis is not a pair\n")
         with pytest.raises(ConfigError, match=":2"):
+            io.parse_config_file(str(cfg))
+
+    def test_repeated_key_names_both_lines(self, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("replicates = 400\nmodel = ou\n\nreplicates = 3\n")
+        with pytest.raises(ConfigError, match=r"c.cfg:4: key 'replicates' repeats line 1$"):
             io.parse_config_file(str(cfg))
 
     def test_typed_lookup_names_key(self):

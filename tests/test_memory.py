@@ -26,7 +26,7 @@ from skestim.core import philox_generator
 from skestim.estimate import quadratic_coefficients
 
 MIB = 2 ** 20
-COLLOIDAL = MODELS["colloidal"]()
+COLLOIDAL = MODELS["colloidal"]
 N = 100_000
 
 

@@ -15,8 +15,8 @@ from skestim.simulate import simulate_underdamped_batch
 
 EXP = Scheme.EXPONENTIAL_VELOCITY
 EM = Scheme.EULER_MARUYAMA
-ZERO = MODELS["zero-drift"]()
-OU = MODELS["ou"]()
+ZERO = MODELS["zero-drift"]
+OU = MODELS["ou"]
 
 
 def run_batch(*args):
@@ -86,7 +86,7 @@ class TestUnderdamped:
     def test_small_mass_stability(self):
         grid = ObservationGrid.uniform(500, 0.01, 10)
         p = SystemParams(mass=1e-3, friction=1 / 6, noise=10.0, x0=0.0, v0=0.0)
-        traj = simulate_underdamped(MODELS["colloidal"](), 0.02, p, grid, EXP,
+        traj = simulate_underdamped(MODELS["colloidal"], 0.02, p, grid, EXP,
                                     philox_generator(4, 0))
         assert np.all(np.isfinite(traj.positions))
 
@@ -166,7 +166,7 @@ class TestOverdamped:
     def test_constant_drift_exact(self):
         # b = gamma * c makes Euler exact: x(t_k) = x0 + c * t_k
         gamma, c = 2.0, 0.7
-        model = DriftModel("const", lambda x: 0.0, lambda x: 0.0, gamma * c)
+        model = DriftModel("const", lambda x: 0.0, gamma * c)
         grid = ObservationGrid([0.0, 0.125, 0.25, 1.0], 2)
         p = SystemParams(mass=1.0, friction=gamma, noise=0.0, x0=1.5)
         traj = simulate_overdamped(model, 0.0, p, grid, philox_generator(0, 0))
@@ -218,7 +218,7 @@ class TestOverdamped:
         def cube(x):
             return x * x * x
 
-        cubic = DriftModel("cubic", cube, cube, 0.0)
+        cubic = DriftModel("cubic", cube, 0.0)
         grid = ObservationGrid.uniform(50, 1.0, 1)
         p = SystemParams(mass=1.0, friction=1.0, noise=0.0, x0=3.0)
         with pytest.raises(DivergenceError, match="substep"):
@@ -251,7 +251,7 @@ class TestCoupled:
     def test_colloidal_small_mass_trend(self):
         # one noise stream for every mass; distance shrinks as mass decreases
         grid = ObservationGrid.uniform(1000, 0.01, 10)
-        model = MODELS["colloidal"]()
+        model = MODELS["colloidal"]
         sups = []
         for mu in [1e-1, 1e-2, 1e-3]:
             p = SystemParams(mass=mu, friction=1 / 6, noise=10.0, x0=0.0, v0=0.0)
@@ -261,7 +261,7 @@ class TestCoupled:
     def test_deterministic_repeat(self):
         grid = ObservationGrid.uniform(200, 0.01, 5)
         p = SystemParams(mass=1e-2, friction=1 / 6, noise=10.0, x0=0.0, v0=0.0)
-        model = MODELS["colloidal"]()
+        model = MODELS["colloidal"]
         a_under, _, a_sup = coupled_runs(model, 0.02, p, grid, 6)
         b_under, _, b_sup = coupled_runs(model, 0.02, p, grid, 6)
         assert a_sup == b_sup
@@ -272,7 +272,7 @@ def cube(x):
     return x * x * x
 
 
-CUBIC = DriftModel("cubic", cube, cube, 0.0)
+CUBIC = DriftModel("cubic", cube, 0.0)
 
 
 class TestBatch:
@@ -287,7 +287,7 @@ class TestBatch:
                                         mu, seed, x0, draw_doubles):
         # a small draw budget splits n * substeps into several draws, some of
         # a single interval, at different edges in the batch and the scalar loop
-        model = MODELS[model_id]()
+        model = MODELS[model_id]
         gamma, sigma, theta = (1 / 6, 10.0, 0.02) if model_id == "colloidal" else (1.0, 1.0, 1.3)
         grid = ObservationGrid.uniform(n, 0.01, substeps)
         p = SystemParams(mass=mu, friction=gamma, noise=sigma, x0=x0, v0=0.5)
@@ -360,7 +360,7 @@ FROZEN_PARAMS = {"colloidal": (1 / 6, 10.0, 0.02, 0.5), "ou": (1.0, 1.0, 1.0, 1.
 
 def frozen_digest(model_id, substeps, scheme):
     gamma, sigma, theta, x0 = FROZEN_PARAMS[model_id]
-    model = MODELS[model_id]()
+    model = MODELS[model_id]
     grid = ObservationGrid.uniform(200, 0.01, substeps)
     rng = philox_generator(13, substeps)
     if scheme == "overdamped":
@@ -401,7 +401,7 @@ def test_no_draw_exceeds_the_budget(monkeypatch):
         return out
 
     monkeypatch.setattr(simulate, "draw_increments", spy)
-    model = MODELS["colloidal"]()
+    model = MODELS["colloidal"]
     grid = ObservationGrid.uniform(20_000, 0.01, 10)
     p = SystemParams(mass=1e-3, friction=1 / 6, noise=10.0)
     batch_grid = ObservationGrid.uniform(20_000, 0.01, 1)
@@ -477,7 +477,7 @@ def test_equals_the_per_interval_loop_on_a_non_uniform_grid(
     monkeypatch.setattr(simulate, "_DRAW_DOUBLES", draw_doubles)
     widths = np.random.default_rng(substeps).uniform(0.002, 0.02, 400)
     grid = ObservationGrid(np.cumsum(np.r_[0.0, widths]), substeps)
-    model = MODELS[model_id]()
+    model = MODELS[model_id]
     gamma, sigma, theta, x0 = FROZEN_PARAMS[model_id]
     p = SystemParams(mass=1e-3 if scheme is EXP else 0.1, friction=gamma,
                      noise=sigma, x0=x0, v0=0.25)
@@ -505,11 +505,11 @@ def test_exponential_coefficients_once_per_distinct_width(monkeypatch, batch):
     p = SystemParams(mass=1e-3, friction=1 / 6, noise=10.0)
     if batch:  # 5 replicates of 2 substeps per interval
         grid = ObservationGrid.uniform(10_000, 0.01, 2)
-        run_batch(MODELS["colloidal"](), 0.02, p, grid,
+        run_batch(MODELS["colloidal"], 0.02, p, grid,
                   [philox_generator(1, r) for r in range(5)])
     else:
         grid = ObservationGrid.uniform(20_000, 0.01, 10)
-        simulate_underdamped(MODELS["colloidal"](), 0.02, p, grid, EXP, philox_generator(1, 0))
+        simulate_underdamped(MODELS["colloidal"], 0.02, p, grid, EXP, philox_generator(1, 0))
     distinct = set((grid.dts / grid.substeps_per_interval).tolist())
     assert sorted(widths) == sorted(distinct)
     assert len(widths) < grid.n_intervals / 100
@@ -531,7 +531,7 @@ def run_scheme(model, theta, p, grid, scheme, rng):
 def diverging_run(model_id, scheme, substeps, k):
     """(theta, params, grid) on which the reference run first leaves the
     finite doubles in interval k: theta = -exp(u), u bisected."""
-    model = MODELS[model_id]()
+    model = MODELS[model_id]
     gamma, sigma, _, _ = FROZEN_PARAMS[model_id]
     p = SystemParams(mass=1e-3 if scheme is EXP else 0.1, friction=gamma,
                      noise=sigma, x0=DIVERGE_X0[model_id])
@@ -572,7 +572,7 @@ def test_divergence_message_equals_the_per_interval_loop(
     k = {"first": 0, "middle": start + per_draw // 2,
          "last": min(start + per_draw, n) - 1}[where]
     theta, p, grid = diverging_run(model_id, scheme, substeps, k)
-    model = MODELS[model_id]()
+    model = MODELS[model_id]
     with pytest.raises(DivergenceError) as want:
         reference_run(model, theta, p, grid, scheme, philox_generator(4, 1))
     monkeypatch.setattr(simulate, "_DRAW_DOUBLES", draw_doubles)
@@ -592,7 +592,7 @@ def test_overflow_mid_chunk_gives_the_per_interval_loop_message(monkeypatch, sch
     monkeypatch.setattr(simulate, "_DRAW_DOUBLES", 60)
     k, substeps = 30, 3
     theta, p, grid = diverging_run("colloidal", scheme, substeps, k)
-    colloidal = MODELS["colloidal"]()
+    colloidal = MODELS["colloidal"]
     calls = []
 
     def exp(z):
@@ -603,7 +603,7 @@ def test_overflow_mid_chunk_gives_the_per_interval_loop_message(monkeypatch, sch
             calls.append(None)
             raise
 
-    spy = DriftModel("colloidal-spy", colloidal.b1, exp, colloidal.b0, colloidal.rate)
+    spy = DriftModel("colloidal-spy", exp, colloidal.b0, colloidal.rate)
     with pytest.raises(DivergenceError) as want:
         reference_run(colloidal, theta, p, grid, scheme, philox_generator(4, 1))
     with pytest.raises(DivergenceError) as got:
