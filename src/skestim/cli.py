@@ -191,8 +191,9 @@ def _cmd_sweep(args) -> int:
                     if r.mu == mu and r.n == n and r.error is None]
             med = float(np.median(errs)) if errs else float("nan")
             print(f"{mu:>10g} {n:>8d} {med:>14.6g}")
-    # every row failed: exit as main would on the first row's exception
-    return 0 if len(failures) < len(rows) else _exit(rows[0].error_type)[0]
+    if len(failures) < len(rows):
+        return 0
+    return _fail(rows[0].error_type, f"every cell failed, the first with {rows[0].error}")
 
 
 def _cmd_figure1(args) -> int:
@@ -244,10 +245,12 @@ _EXIT_CODES = {ValueError: (1, "error"), OSError: (1, "error"), MemoryError: (1,
                IdentifiabilityError: (3, "identifiability")}
 
 
-def _exit(exc_type):
-    # the nearest base in the table; an exception main does not catch exits 1
-    return next((_EXIT_CODES[t] for t in exc_type.__mro__ if t in _EXIT_CODES),
-                (1, "error"))
+def _fail(exc_type, message) -> int:
+    # print under the prefix of exc_type's nearest base in the table (else 1, error)
+    code, prefix = next((_EXIT_CODES[t] for t in exc_type.__mro__ if t in _EXIT_CODES),
+                        (1, "error"))
+    print(f"{prefix}: {message}", file=sys.stderr)
+    return code
 
 
 def main(argv=None) -> int:
@@ -255,9 +258,7 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except tuple(_EXIT_CODES) as exc:
-        code, prefix = _exit(type(exc))
-        print(f"{prefix}: {exc}", file=sys.stderr)
-        return code
+        return _fail(type(exc), exc)
 
 
 if __name__ == "__main__":

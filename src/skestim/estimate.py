@@ -33,6 +33,8 @@ class ParameterSpace:
             raise ValueError("parameter space bounds must be finite")
         if not self.lo < self.hi:
             raise ValueError(f"parameter space needs lo < hi, got [{self.lo}, {self.hi}]")
+        if not math.isfinite(self.hi - self.lo):
+            raise ValueError(f"parameter space [{self.lo:g}, {self.hi:g}] is too wide")
 
 
 @dataclass(frozen=True)
@@ -180,30 +182,33 @@ def minimize_golden(traj: Trajectory, model: DriftModel, friction: float,
         raise ValueError(f"tol must be finite and > 0, got {tol}")
 
     path_objective = _path_objective(traj, model, friction)
+    evals = 0
 
     def f(theta):
+        nonlocal evals
+        evals += 1
         return _check_objective(path_objective(theta), theta, space.lo, space.hi)
 
-    thetas = np.linspace(space.lo, space.hi, scan_points)
+    thetas = np.linspace(space.lo, space.hi, scan_points).tolist()
     values = [f(t) for t in thetas]
-    evals = scan_points
     if min(values) == max(values):
         raise IdentifiabilityError(
             "theta is not identifiable from this path: the objective is flat "
             f"over [{space.lo:g}, {space.hi:g}]")
-    i = int(np.argmin(values))
+    i = values.index(min(values))
     lo = thetas[max(i - 1, 0)]
     hi = thetas[min(i + 1, scan_points - 1)]
-    # the bracket cannot shrink below the spacing of doubles near its ends
-    tol = max(tol, 4.0 * float(np.spacing(max(abs(lo), abs(hi)))))
 
-    # Golden-section on [lo, hi]; the scan guarantees the bracket holds the
-    # best sampled point.
-    c = hi - _INV_PHI * (hi - lo)
-    d = lo + _INV_PHI * (hi - lo)
+    # Golden section on [lo, hi], which holds the best sampled point, down to
+    # tol or 4 ulps of the bracket's current ends. Both inner points are set
+    # from the bracket at the start, and again whenever rounding has put a kept
+    # one out of order, as it does after some 75 steps.
+    c, d = hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo)
     fc, fd = f(c), f(d)
-    evals += 2
-    while hi - lo > tol:
+    while hi - lo > max(tol, 4.0 * math.ulp(max(abs(lo), abs(hi)))):
+        if not lo < c < d < hi:
+            c, d = hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo)
+            fc, fd = f(c), f(d)
         if fc < fd:
             hi, d, fd = d, c, fc
             c = hi - _INV_PHI * (hi - lo)
@@ -212,32 +217,27 @@ def minimize_golden(traj: Trajectory, model: DriftModel, friction: float,
             lo, c, fc = c, d, fd
             d = lo + _INV_PHI * (hi - lo)
             fd = f(d)
-        evals += 1
-    theta_hat = 0.5 * (lo + hi)
+    theta_hat = 0.5 * lo + 0.5 * hi  # halved first: lo + hi can overflow near DBL_MAX
     # value comparisons stall near sqrt(machine eps) relative accuracy, so
     # polish with one parabolic fit over a stencil wide enough that the
     # three objective values differ well above rounding noise
     h = max(tol, 6e-6 * (1.0 + abs(theta_hat)))
-    left = max(space.lo, theta_hat - h)
-    right = min(space.hi, theta_hat + h)
-    mid = 0.5 * (left + right)
-    fl, fm, fr = f(left), f(mid), f(right)
-    evals += 3
-    num = (mid - left) ** 2 * (fm - fr) - (mid - right) ** 2 * (fm - fl)
-    den = (mid - left) * (fm - fr) - (mid - right) * (fm - fl)
-    if den < 0:  # negative den means the fitted parabola is convex
-        vertex = mid - 0.5 * num / den
-        if left <= vertex <= right:
-            theta_hat = vertex
+    if h < 1e150:  # else the stencil's squared width overflows: keep the midpoint
+        left = max(space.lo, theta_hat - h)
+        right = min(space.hi, theta_hat + h)
+        mid = 0.5 * (left + right)
+        fl, fm, fr = f(left), f(mid), f(right)
+        num = (mid - left) ** 2 * (fm - fr) - (mid - right) ** 2 * (fm - fl)
+        den = (mid - left) * (fm - fr) - (mid - right) * (fm - fl)
+        if den < 0:  # negative den means the fitted parabola is convex
+            vertex = mid - 0.5 * num / den
+            if left <= vertex <= right:
+                theta_hat = vertex
+    objective_at_min = f(theta_hat)
     boundary_tol = max(tol, (space.hi - space.lo) / (scan_points - 1))
-    return EstimationResult(
-        theta_hat=float(theta_hat),
-        objective_at_min=f(theta_hat),
-        method="golden",
-        at_boundary=(theta_hat - space.lo <= boundary_tol
-                     or space.hi - theta_hat <= boundary_tol),
-        evaluations=evals + 1,
-    )
+    at_boundary = (theta_hat - space.lo <= boundary_tol
+                   or space.hi - theta_hat <= boundary_tol)
+    return EstimationResult(theta_hat, objective_at_min, "golden", at_boundary, evals)
 
 
 def uniform_objective_gap(traj_under: Trajectory, traj_over: Trajectory,

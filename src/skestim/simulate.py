@@ -177,10 +177,11 @@ def simulate_underdamped_batch(model: DriftModel, theta: float,
     Yields (k0, positions, errors) per noise chunk. Column 0 of positions is
     observation k0 (x0, or the last column of the chunk before) and the
     others end the chunk's intervals, so grid.dts[k0:k0 + m] lines up with
-    its m increments; joined, row r is the path simulate_underdamped gives
-    on rngs[r]. errors, one list updated in place, holds for each row None
-    or, from the chunk where it diverges on, the DivergenceError that run
-    would raise; the row is then not finite from that observation on.
+    its m increments. Joined, row r is the path simulate_underdamped gives on
+    rngs[r], bit for bit unless the profile is math.exp (applied as np.exp,
+    which can differ in the last place). errors, updated in place, holds for
+    each row None or, from the chunk where it diverges on, the DivergenceError
+    that run would raise; the row is then not finite from that observation on.
     """
     _check_inputs(theta, params, grid, Scheme.EXPONENTIAL_VELOCITY)
     mu, gamma, sigma = params.mass, params.friction, params.noise

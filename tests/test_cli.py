@@ -22,7 +22,8 @@ def run_cli(args, cwd, env=None):
     env = dict(os.environ if env is None else env)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "skestim.cli"] + args,
+    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                           "-W", "error::UserWarning", "-m", "skestim.cli"] + args,
                           cwd=cwd, capture_output=True, text=True, env=env)
 
 
