@@ -17,7 +17,7 @@ from . import io
 from .core import (ConfigError, DivergenceError, IdentifiabilityError,
                    MODELS, ObservationGrid, SystemParams, philox_generator)
 from .estimate import (GOLDEN_TOL, ParameterSpace, minimize_closed_form,
-                       minimize_golden, objective_curve, quadratic_coefficients)
+                       minimize_golden, objective_curve)
 from .experiments import (FIGURE1_DT, FIGURE1_N, FIGURE1_SUBSTEPS, GAMMA_DT,
                           GAMMA_SUBSTEPS, SweepConfig, run_figure1,
                           run_gamma_diagnostic, run_consistency_sweep)
@@ -38,6 +38,13 @@ def _out_path(path: str) -> str:
 def _add_common_model_args(p):
     p.add_argument("--model", required=True, choices=sorted(MODELS))
     p.add_argument("--gamma", type=float, required=True, help="friction coefficient")
+
+
+def _float_list(text: str):
+    try:
+        return io.parse_list(text, float)
+    except ValueError as exc:  # the parser's error names the flag
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -96,7 +103,7 @@ def _build_parser():
 
     p = sub.add_parser("gamma-diagnostic",
                        help="uniform objective gap and coupling distance per mass")
-    p.add_argument("--mu-values", default="0.1,0.01,0.001")
+    p.add_argument("--mu-values", type=_float_list, default="0.1,0.01,0.001")
     p.add_argument("--n", type=int, default=2000)
     p.add_argument("--dt", type=float, default=GAMMA_DT)
     p.add_argument("--substeps", type=int, default=GAMMA_SUBSTEPS)
@@ -132,15 +139,13 @@ def _cmd_estimate(args) -> int:
     traj = io.read_trajectory_csv(args.traj)
     model = MODELS[args.model]
     space = ParameterSpace(args.theta_lo, args.theta_hi)
-    coefficients = None  # the closed form's, which the curve reuses
     if args.method == "closed-form":
-        coefficients = quadratic_coefficients(traj, model, args.gamma)
-        result = minimize_closed_form(traj, model, args.gamma, space, coefficients)
+        result = minimize_closed_form(traj, model, args.gamma, space)
     else:
         result = minimize_golden(traj, model, args.gamma, space, tol=args.tol)
     if args.curve is not None:  # before the result line, so a failing curve prints none
         thetas = np.linspace(space.lo, space.hi, args.curve_points)
-        values = objective_curve(traj, model, args.gamma, thetas, coefficients)
+        values = objective_curve(traj, model, args.gamma, thetas)
         curve_path = _out_path(args.curve)
         io.write_columns(curve_path, "theta,objective", [thetas, values])
     print(f"theta_hat={result.theta_hat:.6g} objective={result.objective_at_min:.6g} "
@@ -216,8 +221,7 @@ def _cmd_figure1(args) -> int:
 
 
 def _cmd_gamma(args) -> int:
-    mu_values = io.parse_list(args.mu_values, float)
-    rows = run_gamma_diagnostic(mu_values, args.n, args.seed,
+    rows = run_gamma_diagnostic(args.mu_values, args.n, args.seed,
                                 dt=args.dt, substeps=args.substeps)
     print(f"{'mu':>10} {'uniform_gap':>14} {'sup_distance':>14}")
     for mu, gap, sup in rows:

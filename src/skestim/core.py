@@ -20,7 +20,7 @@ class DivergenceError(RuntimeError):
 
 
 class IdentifiabilityError(RuntimeError):
-    """Raised when the closed-form minimizer is undefined (b1 vanishes along the path)."""
+    """Raised when theta cannot be identified: A is 0, or the objective is flat."""
 
 
 class ConfigError(ValueError):
@@ -68,7 +68,7 @@ class DriftModel:
         """b1 on a numpy array of positions (the estimator). A
         position-independent b1 may return a float; callers broadcast it."""
         profile = _ARRAY_PROFILE.get(self.profile, self.profile)
-        return profile(x if self.rate == 1.0 else self.rate * x)
+        return profile(self.rate * x)
 
     def b1_scalar(self, x: float) -> float:
         """b1 on a python float, inf where the profile overflows; the

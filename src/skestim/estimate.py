@@ -19,6 +19,8 @@ from .core import DriftModel, IdentifiabilityError, Trajectory, check_friction
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 GOLDEN_TOL = 1e-10  # golden section's default bracket tolerance
+_SCAN_POINTS = 101  # golden section's coarse grid scan
+_GAP_POINTS = 1001  # uniform_objective_gap's theta grid
 
 
 @dataclass(frozen=True)
@@ -129,13 +131,10 @@ def _check_objective(values, thetas, lo: float, hi: float):
 
 
 def objective_curve(traj: Trajectory, model: DriftModel, friction: float,
-                    thetas: np.ndarray, coefficients=None) -> np.ndarray:
-    """The objective at every theta of a grid, from the quadratic
-    coefficients (the path's, or those given, as quadratic_coefficients
-    returns them); a value that is not finite is a ValueError."""
-    if coefficients is None:
-        coefficients = quadratic_coefficients(traj, model, friction)
-    a, b, c = coefficients
+                    thetas: np.ndarray) -> np.ndarray:
+    """The objective at every theta of a grid, from the path's quadratic
+    coefficients; a value that is not finite is a ValueError."""
+    a, b, c = quadratic_coefficients(traj, model, friction)
     with np.errstate(over="ignore", invalid="ignore"):
         values = (a * thetas + b) * thetas + c
     return _check_objective(values, thetas, np.min(thetas), np.max(thetas))
@@ -147,20 +146,19 @@ def clipped_vertex(a: float, b: float, space: ParameterSpace):
     _check_coefficients(a, b)
     if not a > 0:
         raise IdentifiabilityError(
-            "theta is not identifiable from this path: sum of ||b1||^2 dt "
-            f"is {a:g} (b1 vanishes along the trajectory)")
+            "theta is not identifiable from this path: A = sum of b1^2 dt / "
+            f"friction^2 is {a:g}, as b1 vanishes along the trajectory or the "
+            "friction is too large for A to be represented")
     vertex = -b / (2.0 * a)
     theta_hat = min(max(vertex, space.lo), space.hi)
     return theta_hat, theta_hat != vertex
 
 
 def minimize_closed_form(traj: Trajectory, model: DriftModel, friction: float,
-                         space: ParameterSpace, coefficients=None) -> EstimationResult:
+                         space: ParameterSpace) -> EstimationResult:
     """Exact quadratic vertex, clipped to the parameter space, from the
-    path's quadratic coefficients or those given."""
-    if coefficients is None:
-        coefficients = quadratic_coefficients(traj, model, friction)
-    a, b, _ = coefficients
+    path's quadratic coefficients."""
+    a, b, _ = quadratic_coefficients(traj, model, friction)
     theta_hat, at_boundary = clipped_vertex(a, b, space)
     return EstimationResult(
         theta_hat=theta_hat,
@@ -173,8 +171,7 @@ def minimize_closed_form(traj: Trajectory, model: DriftModel, friction: float,
 
 
 def minimize_golden(traj: Trajectory, model: DriftModel, friction: float,
-                    space: ParameterSpace, tol: float = GOLDEN_TOL,
-                    scan_points: int = 101) -> EstimationResult:
+                    space: ParameterSpace, tol: float = GOLDEN_TOL) -> EstimationResult:
     """Derivative-free minimization: coarse grid scan to bracket the minimum,
     then golden-section search until the bracket is below tol, or below a few
     ulps of its ends when tol is finer than that."""
@@ -189,7 +186,7 @@ def minimize_golden(traj: Trajectory, model: DriftModel, friction: float,
         evals += 1
         return _check_objective(path_objective(theta), theta, space.lo, space.hi)
 
-    thetas = np.linspace(space.lo, space.hi, scan_points).tolist()
+    thetas = np.linspace(space.lo, space.hi, _SCAN_POINTS).tolist()
     values = [f(t) for t in thetas]
     if min(values) == max(values):
         raise IdentifiabilityError(
@@ -197,7 +194,7 @@ def minimize_golden(traj: Trajectory, model: DriftModel, friction: float,
             f"over [{space.lo:g}, {space.hi:g}]")
     i = values.index(min(values))
     lo = thetas[max(i - 1, 0)]
-    hi = thetas[min(i + 1, scan_points - 1)]
+    hi = thetas[min(i + 1, _SCAN_POINTS - 1)]
 
     # Golden section on [lo, hi], which holds the best sampled point, down to
     # tol or 4 ulps of the bracket's current ends. Both inner points are set
@@ -234,21 +231,19 @@ def minimize_golden(traj: Trajectory, model: DriftModel, friction: float,
             if left <= vertex <= right:
                 theta_hat = vertex
     objective_at_min = f(theta_hat)
-    boundary_tol = max(tol, (space.hi - space.lo) / (scan_points - 1))
+    boundary_tol = max(tol, (space.hi - space.lo) / (_SCAN_POINTS - 1))
     at_boundary = (theta_hat - space.lo <= boundary_tol
                    or space.hi - theta_hat <= boundary_tol)
     return EstimationResult(theta_hat, objective_at_min, "golden", at_boundary, evals)
 
 
 def uniform_objective_gap(traj_under: Trajectory, traj_over: Trajectory,
-                          model: DriftModel, friction: float,
-                          space: ParameterSpace,
-                          grid_points: int = 1001) -> float:
+                          model: DriftModel, friction: float, space: ParameterSpace) -> float:
     """max over a theta grid of |F_underdamped(theta) - F_overdamped(theta)|,
     the empirical uniform-convergence diagnostic for coupled runs."""
     if traj_under.grid != traj_over.grid:
         raise ValueError("uniform_objective_gap requires trajectories on the same grid")
-    thetas = np.linspace(space.lo, space.hi, grid_points)
+    thetas = np.linspace(space.lo, space.hi, _GAP_POINTS)
     au, bu, cu = quadratic_coefficients(traj_under, model, friction)
     ao, bo, co = quadratic_coefficients(traj_over, model, friction)
     diff = ((au - ao) * thetas + (bu - bo)) * thetas + (cu - co)

@@ -15,8 +15,7 @@ import numpy as np
 
 from .core import MODELS, ObservationGrid, SystemParams, philox_generator
 from .estimate import (ParameterSpace, clipped_vertex, minimize_closed_form,
-                       objective_curve, path_coefficients,
-                       quadratic_coefficients, uniform_objective_gap)
+                       objective_curve, path_coefficients, uniform_objective_gap)
 from .simulate import (Scheme, simulate_overdamped, simulate_underdamped,
                        simulate_underdamped_batch)
 
@@ -108,12 +107,9 @@ def run_figure1(seed: int, n: int = FIGURE1_N, dt: float = FIGURE1_DT,
     traj = simulate_underdamped(model, FIGURE1_THETA, params, grid,
                                 Scheme.EXPONENTIAL_VELOCITY, philox_generator(seed, 0))
 
-    coefficients = quadratic_coefficients(traj, model, FIGURE1_GAMMA)
     thetas = np.linspace(0.0, 0.04, 401)
-    curve = objective_curve(traj, model, FIGURE1_GAMMA, thetas, coefficients)
-
-    result = minimize_closed_form(traj, model, FIGURE1_GAMMA, FIGURE1_SPACE,
-                                  coefficients)
+    curve = objective_curve(traj, model, FIGURE1_GAMMA, thetas)
+    result = minimize_closed_form(traj, model, FIGURE1_GAMMA, FIGURE1_SPACE)
     return traj, (thetas, curve), result
 
 

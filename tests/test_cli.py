@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import skestim
-from skestim import ParameterSpace, SweepConfig, cli, estimate, io
+from skestim import ParameterSpace, SweepConfig, cli, io
 
 # the directory holding the skestim this process imported, from a checkout
 # or an install; a relative PYTHONPATH would not resolve from the child's cwd
@@ -329,8 +329,21 @@ class TestEstimateCommand:
                         "--gamma", "1", "--theta-lo", "-5", "--theta-hi", "5"]
                        + method, cwd=tmp_path)
         assert proc.returncode == 3
-        assert "sum of ||b1||^2 dt is 0" in proc.stderr
+        assert "A = sum of b1^2 dt / friction^2 is 0" in proc.stderr
         assert "theta_hat" not in proc.stdout
+
+    def test_friction_too_large_for_A_exits_3_naming_both_causes(self, tmp_path):
+        # b1 is 1 everywhere, but A = sum of dt / friction^2 underflows to 0
+        (tmp_path / "three.csv").write_text("t,x\n0,1\n1,2\n2,1.5\n")
+        proc = run_cli(["estimate", "--model", "constant-force", "--traj", "three.csv",
+                        "--gamma=1e300", "--theta-lo=-1e300", "--theta-hi=1e300"],
+                       cwd=tmp_path)
+        assert proc.returncode == 3
+        assert proc.stderr == (
+            "identifiability: theta is not identifiable from this path: A = sum of "
+            "b1^2 dt / friction^2 is 0, as b1 vanishes along the trajectory or the "
+            "friction is too large for A to be represented\n")
+        assert proc.stdout == ""
 
     def test_golden_curve_with_overflowing_coefficients_exits_1(self, tmp_path):
         # golden section finds theta_hat where the objective stays finite,
@@ -386,17 +399,22 @@ class TestEstimateCommand:
         assert sha256_of(curve) == (
             "4c3a724d3e8fb0ae1f6f06fed6fc35ede82d78a9f2e7976feb1e417c518173a6")
 
-    def test_closed_form_curve_computes_coefficients_once(self, tmp_path, monkeypatch):
-        # the closed form's coefficients serve the curve as well
-        traj, curve = str(tmp_path / "traj.csv"), str(tmp_path / "curve.csv")
+    @pytest.mark.parametrize("method,binding", [("closed-form", "minimize_closed_form"),
+                                                ("golden", "minimize_golden")])
+    def test_estimate_calls_the_minimizer_through_the_cli_binding(
+            self, tmp_path, monkeypatch, capsys, method, binding):
+        # the benchmark's traced runs time the minimizers by patching these
+        # names in skestim.cli, so estimate must look them up there
+        traj = str(tmp_path / "traj.csv")
         assert cli.main(SIMULATE_ARGS[:-1] + [traj]) == 0
         calls = []
-        path_coefficients = estimate.path_coefficients
-        monkeypatch.setattr(estimate, "path_coefficients",
-                            lambda *args: calls.append(1) or path_coefficients(*args))
+        minimize = getattr(cli, binding)
+        monkeypatch.setattr(cli, binding,
+                            lambda *args, **kw: calls.append(1) or minimize(*args, **kw))
         assert cli.main(["estimate", "--traj", traj, "--model", "colloidal",
                          "--gamma", "0.1666667", "--theta-lo", "0", "--theta-hi", "0.1",
-                         "--curve", curve]) == 0
+                         "--method", method]) == 0
+        assert f"method={method}" in capsys.readouterr().out
         assert len(calls) == 1
 
     def make_three_rows(self, tmp_path):
@@ -699,6 +717,17 @@ class TestGammaDiagnosticCommand:
                          "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "66d0ff1edfd735756fca8a03036b5cfa4d0480f01922988277e9acd80e5f6e0e")
+
+    @pytest.mark.parametrize("value,message", [
+        ("", "empty list"), ("0.1,abc", "could not convert string to float: 'abc'")],
+        ids=["empty", "not-a-float"])
+    def test_bad_mu_values_exit_1_naming_the_flag(self, tmp_path, value, message):
+        proc = run_cli(["gamma-diagnostic", "--seed", "1", f"--mu-values={value}"],
+                       cwd=tmp_path)
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines()[-1] == (
+            f"skestim gamma-diagnostic: error: argument --mu-values: {message}")
+        assert proc.stdout == ""
 
     def test_substep_too_small_for_the_exponential_scheme_exits_1(self, tmp_path):
         proc = run_cli(["gamma-diagnostic", "--seed", "1", "--n", "5", "--dt", "1e-320",

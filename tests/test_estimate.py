@@ -9,6 +9,7 @@ from skestim import (DriftModel, IdentifiabilityError, MODELS,
                      Trajectory, minimize_closed_form,
                      minimize_golden, objective, objective_curve, simulate_overdamped,
                      simulate_underdamped, uniform_objective_gap)
+from skestim import estimate
 from skestim.core import philox_generator
 from skestim.estimate import (_path_objective, _residual_parts, clipped_vertex,
                               path_coefficients, quadratic_coefficients)
@@ -230,14 +231,15 @@ class TestGolden:
         res = minimize_golden(traj, OU, 1.0, space, tol=1e-8)
         assert abs(res.theta_hat - brute) <= 1e-5
 
-    def test_multi_start_brackets_agree(self):
+    def test_multi_start_brackets_agree(self, monkeypatch):
         # different coarse-scan resolutions must find the same minimizer on
         # unimodal data
         traj = simulate_ou_dataset(seed=6)
         space = ParameterSpace(-5.0, 5.0)
-        hats = [minimize_golden(traj, OU, 1.0, space, tol=1e-10,
-                                scan_points=pts).theta_hat
-                for pts in (11, 101, 257)]
+        hats = []
+        for pts in (11, 101, 257):
+            monkeypatch.setattr(estimate, "_SCAN_POINTS", pts)
+            hats.append(minimize_golden(traj, OU, 1.0, space, tol=1e-10).theta_hat)
         assert max(hats) - min(hats) < 1e-8
 
     def test_rejects_bad_tol(self):
@@ -392,25 +394,24 @@ class TestUniformObjectiveGap:
         with pytest.raises(ValueError, match="grid"):
             uniform_objective_gap(a, b, OU, 1.0, ParameterSpace(-2.0, 2.0))
 
-    def test_grid_refinement_stable(self):
+    def test_grid_refinement_stable(self, monkeypatch):
         under, over, model = self.coupled_colloidal(1e-2)
         space = ParameterSpace(0.0, 0.1)
-        g101 = uniform_objective_gap(under, over, model, 1 / 6, space,
-                                     grid_points=101)
-        g1001 = uniform_objective_gap(under, over, model, 1 / 6, space,
-                                      grid_points=1001)
-        assert g101 == pytest.approx(g1001, rel=0.1)
+        gaps = []
+        for pts in (101, 1001):
+            monkeypatch.setattr(estimate, "_GAP_POINTS", pts)
+            gaps.append(uniform_objective_gap(under, over, model, 1 / 6, space))
+        assert gaps[0] == pytest.approx(gaps[1], rel=0.1)
 
     def test_generic_path_matches_quadratic_path(self):
         # the gap from the quadratic coefficients equals the per-theta
         # maximum of |objective_under - objective_over|
         under, over, model = self.coupled_colloidal(1e-2, n=100)
         space = ParameterSpace(0.0, 0.1)
-        fast = uniform_objective_gap(under, over, model, 1 / 6, space,
-                                     grid_points=51)
+        fast = uniform_objective_gap(under, over, model, 1 / 6, space)
         slow = max(abs(objective(under, model, 1 / 6, t)
                        - objective(over, model, 1 / 6, t))
-                   for t in np.linspace(space.lo, space.hi, 51))
+                   for t in np.linspace(space.lo, space.hi, estimate._GAP_POINTS))
         assert fast == pytest.approx(slow, rel=1e-9)
 
 

@@ -62,15 +62,10 @@ class TestFigure1:
         _, _, res = run_figure1(seed=1, n=2000, dt=0.01, substeps=5)
         assert 0.0 <= res.theta_hat <= 0.1
 
-    def test_coefficients_computed_once(self, monkeypatch):
-        # the curve and the vertex share one set of (A, B, C); the minimum's
-        # objective is still the direct residual sum
-        calls = []
-        path_coefficients = estimate.path_coefficients
-        monkeypatch.setattr(estimate, "path_coefficients",
-                            lambda *args: calls.append(1) or path_coefficients(*args))
+    def test_curve_is_the_quadratic_and_the_minimum_a_direct_pass(self):
+        # the curve comes from the path's (A, B, C); the minimum's objective
+        # is the direct residual sum
         traj, (thetas, curve), res = run_figure1(seed=3, n=300, dt=0.01, substeps=5)
-        assert len(calls) == 1
         model = MODELS["colloidal"]
         a, b, c = estimate.quadratic_coefficients(traj, model, 1 / 6)
         assert curve.tobytes() == ((a * thetas + b) * thetas + c).tobytes()
