@@ -56,7 +56,7 @@ class DriftModel:
     b0 : float
         The theta-independent part of the drift.
     rate : float
-        The factor on x. 1.0 * x is x exactly, so b1 skips that array pass.
+        The factor on x inside the profile.
     """
 
     name: str

@@ -6,8 +6,9 @@ The objective on observations x(t_0), ..., x(t_n) is
 
 and the estimator is its minimizer over a compact interval. Every drift
 model is linear in theta, b = theta * b1(x) + b0, so the objective is an
-explicit quadratic and the minimizer is closed-form. A coarse grid scan
-followed by golden-section search is kept as a derivative-free reference.
+explicit quadratic and the minimizer is closed-form. Golden-section search
+over the whole interval, which needs no scan since the objective is convex,
+is kept as a derivative-free reference.
 """
 
 import math
@@ -19,7 +20,6 @@ from .core import DriftModel, IdentifiabilityError, Trajectory, check_friction
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 GOLDEN_TOL = 1e-10  # golden section's default bracket tolerance
-_SCAN_POINTS = 101  # golden section's coarse grid scan
 _GAP_POINTS = 1001  # uniform_objective_gap's theta grid
 
 
@@ -172,9 +172,9 @@ def minimize_closed_form(traj: Trajectory, model: DriftModel, friction: float,
 
 def minimize_golden(traj: Trajectory, model: DriftModel, friction: float,
                     space: ParameterSpace, tol: float = GOLDEN_TOL) -> EstimationResult:
-    """Derivative-free minimization: coarse grid scan to bracket the minimum,
-    then golden-section search until the bracket is below tol, or below a few
-    ulps of its ends when tol is finer than that."""
+    """Derivative-free golden-section search over the whole space, until the
+    bracket is below tol or, when tol is finer, a few ulps of its ends; at a
+    boundary when theta_hat is within that width of a bound."""
     if not (tol > 0 and math.isfinite(tol)):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
 
@@ -186,23 +186,19 @@ def minimize_golden(traj: Trajectory, model: DriftModel, friction: float,
         evals += 1
         return _check_objective(path_objective(theta), theta, space.lo, space.hi)
 
-    thetas = np.linspace(space.lo, space.hi, _SCAN_POINTS).tolist()
-    values = [f(t) for t in thetas]
-    if min(values) == max(values):
+    # F is convex or flat, so largest at an end: the ends go first, to report
+    # any non-finite F, and four equal values mean a flat F. Both inner points
+    # are set again whenever rounding puts a kept one out of order, as it
+    # does after some 75 steps.
+    lo, hi = space.lo, space.hi
+    flo, fhi = f(lo), f(hi)
+    c, d = hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo)
+    fc, fd = f(c), f(d)
+    if flo == fhi == fc == fd:
         raise IdentifiabilityError(
             "theta is not identifiable from this path: the objective is flat "
             f"over [{space.lo:g}, {space.hi:g}]")
-    i = values.index(min(values))
-    lo = thetas[max(i - 1, 0)]
-    hi = thetas[min(i + 1, _SCAN_POINTS - 1)]
-
-    # Golden section on [lo, hi], which holds the best sampled point, down to
-    # tol or 4 ulps of the bracket's current ends. Both inner points are set
-    # from the bracket at the start, and again whenever rounding has put a kept
-    # one out of order, as it does after some 75 steps.
-    c, d = hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo)
-    fc, fd = f(c), f(d)
-    while hi - lo > max(tol, 4.0 * math.ulp(max(abs(lo), abs(hi)))):
+    while hi - lo > (stop := max(tol, 4.0 * math.ulp(max(abs(lo), abs(hi))))):
         if not lo < c < d < hi:
             c, d = hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo)
             fc, fd = f(c), f(d)
@@ -220,8 +216,7 @@ def minimize_golden(traj: Trajectory, model: DriftModel, friction: float,
     # three objective values differ well above rounding noise
     h = max(tol, 6e-6 * (1.0 + abs(theta_hat)))
     if h < 1e150:  # else the stencil's squared width overflows: keep the midpoint
-        left = max(space.lo, theta_hat - h)
-        right = min(space.hi, theta_hat + h)
+        left, right = max(space.lo, theta_hat - h), min(space.hi, theta_hat + h)
         mid = 0.5 * (left + right)
         fl, fm, fr = f(left), f(mid), f(right)
         num = (mid - left) ** 2 * (fm - fr) - (mid - right) ** 2 * (fm - fl)
@@ -231,9 +226,7 @@ def minimize_golden(traj: Trajectory, model: DriftModel, friction: float,
             if left <= vertex <= right:
                 theta_hat = vertex
     objective_at_min = f(theta_hat)
-    boundary_tol = max(tol, (space.hi - space.lo) / (_SCAN_POINTS - 1))
-    at_boundary = (theta_hat - space.lo <= boundary_tol
-                   or space.hi - theta_hat <= boundary_tol)
+    at_boundary = theta_hat - space.lo <= stop or space.hi - theta_hat <= stop
     return EstimationResult(theta_hat, objective_at_min, "golden", at_boundary, evals)
 
 

@@ -38,6 +38,13 @@ GAMMA_SUBSTEPS = 20
 _STREAM_FIELD = 2 ** 20
 
 
+def _check_distinct(key: str, values: Sequence) -> None:
+    """Reject a repeat in non-empty row keys: it would give two rows one key."""
+    value, count = Counter(values).most_common(1)[0]
+    if count > 1:
+        raise ValueError(f"{key} must not repeat a value, got {value} {count} times")
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Configuration of a (mu, n) consistency sweep."""
@@ -65,10 +72,8 @@ class SweepConfig:
             raise ValueError(f"replicates must be in [1, {_STREAM_FIELD}]")
         if len(self.n_values) > _STREAM_FIELD:
             raise ValueError(f"at most {_STREAM_FIELD} n_values are allowed")
-        for key in ("mu_values", "n_values"):  # a repeat gives two rows one key
-            value, count = Counter(getattr(self, key)).most_common(1)[0]
-            if count > 1:
-                raise ValueError(f"{key} must not repeat a value, got {value} {count} times")
+        _check_distinct("mu_values", self.mu_values)
+        _check_distinct("n_values", self.n_values)
         if not (self.delta > 0 and math.isfinite(self.delta)):
             raise ValueError(f"delta must be finite and > 0, got {self.delta}")
         if self.model_id not in MODELS:
@@ -192,6 +197,7 @@ def run_gamma_diagnostic(mu_values: Sequence[float], n: int, seed: int,
     """
     if not mu_values:
         raise ValueError("mu_values must be non-empty")
+    _check_distinct("mu_values", mu_values)
     model = MODELS["colloidal"]
     grid = ObservationGrid.uniform(n, dt, substeps)
     out = []

@@ -263,6 +263,14 @@ class TestGammaDiagnostic:
         with pytest.raises(ValueError):
             run_gamma_diagnostic([], n=100, seed=0)
 
+    def test_repeated_mu_rejected_before_any_run(self, monkeypatch):
+        # a repeated mass wrote one identical row per repeat; the sweep's
+        # check on mu_values rejects it here too, before any run
+        monkeypatch.setattr(experiments, "simulate_underdamped", None)
+        with pytest.raises(ValueError,
+                           match="^mu_values must not repeat a value, got 0.1 3 times$"):
+            run_gamma_diagnostic([0.1, 0.1, 1e-1], n=50, seed=1)
+
     def test_overdamped_limit_integrated_once(self, monkeypatch):
         # once, right after the first mass's run, so the first two runs, and
         # the first one to fail, are those of one run pair per mass
