@@ -20,7 +20,6 @@ from .core import DriftModel, IdentifiabilityError, Trajectory, check_friction
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 GOLDEN_TOL = 1e-10  # golden section's default bracket tolerance
-_GAP_POINTS = 1001  # uniform_objective_gap's theta grid
 
 
 @dataclass(frozen=True)
@@ -232,12 +231,13 @@ def minimize_golden(traj: Trajectory, model: DriftModel, friction: float,
 
 def uniform_objective_gap(traj_under: Trajectory, traj_over: Trajectory,
                           model: DriftModel, friction: float, space: ParameterSpace) -> float:
-    """max over a theta grid of |F_underdamped(theta) - F_overdamped(theta)|,
-    the empirical uniform-convergence diagnostic for coupled runs."""
+    """Exact sup over the space of |F_underdamped - F_overdamped|, a quadratic
+    largest at an end or its clipped vertex; a non-finite value is a ValueError."""
     if traj_under.grid != traj_over.grid:
         raise ValueError("uniform_objective_gap requires trajectories on the same grid")
-    thetas = np.linspace(space.lo, space.hi, _GAP_POINTS)
     au, bu, cu = quadratic_coefficients(traj_under, model, friction)
     ao, bo, co = quadratic_coefficients(traj_over, model, friction)
-    diff = ((au - ao) * thetas + (bu - bo)) * thetas + (cu - co)
-    return float(np.max(np.abs(diff)))
+    da, db, dc = au - ao, bu - bo, cu - co
+    lo, hi = space.lo, space.hi
+    thetas = [lo, hi] if da == 0.0 else [lo, hi, min(max(-db / (2.0 * da), lo), hi)]
+    return max(_check_objective([abs((da * t + db) * t + dc) for t in thetas], thetas, lo, hi))

@@ -76,6 +76,8 @@ class SweepConfig:
         _check_distinct("n_values", self.n_values)
         if not (self.delta > 0 and math.isfinite(self.delta)):
             raise ValueError(f"delta must be finite and > 0, got {self.delta}")
+        if not math.isfinite(self.theta_true):
+            raise ValueError(f"theta_true must be finite, got {self.theta_true}")
         if self.model_id not in MODELS:
             raise ValueError(f"unknown model {self.model_id!r}; "
                              f"known: {sorted(MODELS)}")

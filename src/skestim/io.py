@@ -174,14 +174,17 @@ def read_trajectory_csv(path: str) -> Trajectory:
         # np.loadtxt warns on a body of blank or comment lines
         if not any(line.split("#", 1)[0].strip() for line in iter(fh.readline, "")):
             raise ConfigError(f"{path}: no rows after the header {header!r}")
-    data = np.loadtxt(path, delimiter=",", ndmin=2, skiprows=1)
-    columns = header.count(",") + 1
-    if data.shape[1] != columns:
-        raise ConfigError(f"{path}: header {header!r} names {columns} columns, "
-                          f"the rows have {data.shape[1]}")
-    grid = ObservationGrid(data[:, 0], substeps_per_interval=1)
-    vel = data[:, 2] if header == "t,x,v" else None
-    return Trajectory(grid=grid, positions=data[:, 1], velocities=vel)
+    try:  # every error about the rows names the file
+        data = np.loadtxt(path, delimiter=",", ndmin=2, skiprows=1)
+        columns = header.count(",") + 1
+        if data.shape[1] != columns:
+            raise ValueError(f"header {header!r} names {columns} columns, "
+                             f"the rows have {data.shape[1]}")
+        grid = ObservationGrid(data[:, 0], substeps_per_interval=1)
+        vel = data[:, 2] if header == "t,x,v" else None
+        return Trajectory(grid=grid, positions=data[:, 1], velocities=vel)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def write_sweep_csv(path: str, rows):

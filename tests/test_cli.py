@@ -288,15 +288,25 @@ class TestEstimateCommand:
         ("t,x\n0,1\n1,2\ninf,3\n", "grid times must be finite, got t_2=inf"),
         ("t,x,v\n0,1\n1,2\n", "header 't,x,v' names 3 columns, the rows have 2"),
         ("t,x\n0,1,5\n1,2,5\n", "header 't,x' names 2 columns, the rows have 3"),
-    ], ids=["nan-time", "inf-time", "missing-column", "extra-column"])
+        ("t,x\n0,1\n1,abc\n", "could not convert string 'abc' to float64"),
+        ("t,x\n0,1\n1,2,3\n", "the number of columns changed from 2 to 3"),
+        ("t,x\n1,1\n2,2\n", "grid must start at t=0, got t_0=1.0"),
+        ("t,x\n0,1\n", "grid needs at least two observation times"),
+        ("t,x\n0,1\n1,2\n1,3\n", "grid times must be strictly increasing (interval 2)"),
+        ("t,x\n0,1\n1,nan\n", "trajectory contains non-finite positions"),
+    ], ids=["nan-time", "inf-time", "missing-column", "extra-column", "text", "ragged",
+            "t0", "single-row", "repeated-t", "nan-position"])
     def test_malformed_trajectory_exits_1(self, tmp_path, text, message):
+        # one stderr line that names the file, also with every warning an
+        # error; the errors of np.loadtxt, ObservationGrid and Trajectory
+        # named neither the file nor its line
         (tmp_path / "bad.csv").write_text(text)
         proc = run_cli(["estimate", "--traj", "bad.csv", "--model", "ou",
                         "--gamma", "1", "--theta-lo", "0", "--theta-hi", "2"],
-                       cwd=tmp_path)
+                       cwd=tmp_path, env={**os.environ, "PYTHONWARNINGS": "error"})
         assert proc.returncode == 1
-        assert message in proc.stderr
-        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: bad.csv: " + message)
+        assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
         assert proc.stdout == ""
 
     @pytest.mark.parametrize("body", ["", "\n", "\n# no rows\n  \n"],
@@ -620,6 +630,18 @@ class TestSweepCommand:
         assert proc.stderr == "error: mu_values must not repeat a value, got 0.01 2 times\n"
         assert not (tmp_path / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_theta_true_exits_1(self, tmp_path, value):
+        # it integrated every cell, wrote a CSV of error rows and a table of
+        # nan, and only then exited 1 as every cell failed
+        (tmp_path / "sweep.cfg").write_text(
+            SWEEP_CFG.replace("theta_true = 1.0", f"theta_true = {value}"))
+        proc = run_cli(["sweep", "--config", "sweep.cfg"], cwd=tmp_path)
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: theta_true must be finite, got {float(value)}\n"
+        assert proc.stdout == ""
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_flag_overrides_config(self, tmp_path):
         (tmp_path / "sweep.cfg").write_text(SWEEP_CFG)
         proc = run_cli(["sweep", "--config", "sweep.cfg", "--replicates", "1"],
@@ -727,13 +749,16 @@ class TestGammaDiagnosticCommand:
 
     def test_csv_frozen(self, tmp_path):
         # SHA-256 of gamma.csv: integrating the overdamped limit once per call
-        # gives the bytes that one overdamped run per mass gave
+        # gives the bytes that one overdamped run per mass gave. Re-pinned when
+        # the gap became the exact sup: the mu = 1e-4 row's sup lies at an inner
+        # vertex, theta ~ 6.4e-5, and the 1,001-point grid it replaced fell
+        # short there (10802.893860696724, now 10802.894774307482)
         out = tmp_path / "gamma.csv"
         assert cli.main(["gamma-diagnostic", "--seed", "5", "--n", "300",
                          "--substeps", "7", "--mu-values", "0.2,0.003,1e-4",
                          "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "66d0ff1edfd735756fca8a03036b5cfa4d0480f01922988277e9acd80e5f6e0e")
+            "c2bb85a7d456c165408d1d51756fb91cc29be5ca450658b446767850847446bc")
 
     @pytest.mark.parametrize("value,message", [
         ("", "empty list"), ("0.1,abc", "could not convert string to float: 'abc'")],

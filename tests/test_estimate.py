@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from skestim import (DriftModel, IdentifiabilityError, MODELS,
                      Trajectory, minimize_closed_form,
                      minimize_golden, objective, objective_curve, simulate_overdamped,
                      simulate_underdamped, uniform_objective_gap)
-from skestim import estimate
 from skestim.core import philox_generator
 from skestim.estimate import (_path_objective, _residual_parts, clipped_vertex,
                               path_coefficients, quadratic_coefficients)
@@ -408,25 +408,39 @@ class TestUniformObjectiveGap:
         with pytest.raises(ValueError, match="grid"):
             uniform_objective_gap(a, b, OU, 1.0, ParameterSpace(-2.0, 2.0))
 
-    def test_grid_refinement_stable(self, monkeypatch):
-        under, over, model = self.coupled_colloidal(1e-2)
-        space = ParameterSpace(0.0, 0.1)
-        gaps = []
-        for pts in (101, 1001):
-            monkeypatch.setattr(estimate, "_GAP_POINTS", pts)
-            gaps.append(uniform_objective_gap(under, over, model, 1 / 6, space))
-        assert gaps[0] == pytest.approx(gaps[1], rel=0.1)
-
     def test_generic_path_matches_quadratic_path(self):
-        # the gap from the quadratic coefficients equals the per-theta
-        # maximum of |objective_under - objective_over|
+        # the exact sup from the quadratic coefficients is at least the
+        # per-theta maximum of |objective_under - objective_over| on a dense
+        # grid, and above it by no more than 10x the largest rounding gap
+        # between the two evaluations on that grid (1.04e-15 of the gap)
         under, over, model = self.coupled_colloidal(1e-2, n=100)
         space = ParameterSpace(0.0, 0.1)
         fast = uniform_objective_gap(under, over, model, 1 / 6, space)
         slow = max(abs(objective(under, model, 1 / 6, t)
                        - objective(over, model, 1 / 6, t))
-                   for t in np.linspace(space.lo, space.hi, estimate._GAP_POINTS))
-        assert fast == pytest.approx(slow, rel=1e-9)
+                   for t in np.linspace(space.lo, space.hi, 1001))
+        assert slow <= fast <= slow * (1 + 1e-14)
+
+    def test_non_finite_gap_is_a_value_error(self):
+        # C overflows while A and B stay finite; the gap was nan for the path
+        # with itself and inf with a finite path, which gamma-diagnostic
+        # would have written to its CSV with exit 0
+        grid = ObservationGrid([0.0, 1.0, 2.0])
+        big = Trajectory(grid=grid, positions=np.array([0.0, 1e200, 0.0]))
+        small = Trajectory(grid=grid, positions=np.array([0.0, 1.0, 0.0]))
+        assert quadratic_coefficients(big, CONST_FORCE, 1.0) == (2.0, -0.0, math.inf)
+        for under, over in [(big, big), (big, small), (small, big)]:
+            with pytest.raises(ValueError, match=r"at theta=-1, .* \[-1, 1\]$"):
+                uniform_objective_gap(under, over, CONST_FORCE, 1.0,
+                                      ParameterSpace(-1.0, 1.0))
+
+
+def random_walks(rng, rows, n, scale):
+    """rows random walks of n steps on one random non-uniform grid"""
+    grid = ObservationGrid(np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 0.2, n))]))
+    positions = rng.uniform(-1.0, 1.0, (rows, 1)) + np.concatenate(
+        [np.zeros((rows, 1)), np.cumsum(rng.normal(0.0, scale, (rows, n)), axis=1)], axis=1)
+    return grid, positions
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -438,10 +452,7 @@ def test_row_fits_equal_the_closed_form_per_row(name, rows, n, seed, scale):
     # identifiability error must be those of the path fitted alone
     friction, _, space = RANDOM_PATH_CASES[name]
     model = MODELS[name]
-    rng = np.random.default_rng(seed)
-    grid = ObservationGrid(np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 0.2, n))]))
-    positions = rng.uniform(-1.0, 1.0, (rows, 1)) + np.concatenate(
-        [np.zeros((rows, 1)), np.cumsum(rng.normal(0.0, scale, (rows, n)), axis=1)], axis=1)
+    grid, positions = random_walks(np.random.default_rng(seed), rows, n, scale)
     a, b, c = path_coefficients(positions, grid.dts, model, friction)
     # one A per row also where b1 does not depend on position
     assert a.shape == b.shape == c.shape == (rows,)
@@ -458,3 +469,30 @@ def test_row_fits_equal_the_closed_form_per_row(name, rows, n, seed, scale):
         else:
             assert clipped_vertex(float(a[r]), float(b[r]), space) == (
                 want.theta_hat, want.at_boundary)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(name=st.sampled_from(sorted(RANDOM_PATH_CASES)),
+       n=st.one_of(st.integers(1, 40), st.integers(100, 3000)),
+       seed=st.integers(0, 2 ** 32), scale=st.floats(1e-3, 10.0))
+def test_gap_is_the_exact_sup_of_the_quadratic_difference(name, n, seed, scale):
+    # two random walks on one non-uniform grid: the gap is |dq| at an end or
+    # at the clipped vertex of the difference dq of their quadratics, and no
+    # point of a 1,001-point grid gives a larger |dq| in the same Horner form
+    friction, _, space = RANDOM_PATH_CASES[name]
+    model = MODELS[name]
+    grid, positions = random_walks(np.random.default_rng(seed), 2, n, scale)
+    under, over = (Trajectory(grid=grid, positions=row) for row in positions)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gap = uniform_objective_gap(under, over, model, friction, space)
+    (au, bu, cu), (ao, bo, co) = (quadratic_coefficients(traj, model, friction)
+                                  for traj in (under, over))
+    da, db, dc = au - ao, bu - bo, cu - co
+    if name in ("constant-force", "zero-drift"):  # b1 does not depend on position
+        assert da == 0.0
+    thetas = np.linspace(space.lo, space.hi, 1001)
+    assert gap >= np.max(np.abs((da * thetas + db) * thetas + dc))
+    candidates = [space.lo, space.hi] + (
+        [float(np.clip(-db / (2.0 * da), space.lo, space.hi))] if da != 0.0 else [])
+    assert gap in [abs((da * t + db) * t + dc) for t in candidates]

@@ -216,7 +216,7 @@ def test_path_read_gives_the_malformed_row_message_of_the_handle_read(tmp_path, 
         loadtxt_on_the_handle(path)
     with pytest.raises(ValueError) as got:
         io.read_trajectory_csv(str(path))
-    assert str(got.value) == str(want.value)
+    assert str(got.value) == f"{path}: {want.value}"
     assert "at row" in str(got.value)
 
 
