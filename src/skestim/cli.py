@@ -23,11 +23,6 @@ from .experiments import (FIGURE1_DT, FIGURE1_N, FIGURE1_SUBSTEPS, GAMMA_DT,
                           run_gamma_diagnostic, run_consistency_sweep)
 from .simulate import Scheme, simulate_overdamped, simulate_underdamped
 
-SCHEMES = {
-    "exponential": Scheme.EXPONENTIAL_VELOCITY,
-    "euler": Scheme.EULER_MARUYAMA,
-}
-
 
 def _out_path(path: str) -> str:
     if os.path.isabs(path):
@@ -71,7 +66,7 @@ def _build_parser():
     p.add_argument("--n", type=int, required=True, help="number of observation intervals")
     p.add_argument("--dt", type=float, required=True, help="observation spacing")
     p.add_argument("--substeps", type=int, default=1)
-    p.add_argument("--scheme", choices=sorted(SCHEMES), default="exponential")
+    p.add_argument("--scheme", choices=[s.value for s in Scheme], default="exponential")
     p.add_argument("--x0", type=float, default=0.0)
     p.add_argument("--v0", type=float, default=0.0)
     p.add_argument("--seed", type=int, required=True)
@@ -90,8 +85,6 @@ def _build_parser():
 
     p = sub.add_parser("sweep", help="run a (mu, n) consistency sweep from a config file")
     p.add_argument("--config", required=True)
-    p.add_argument("--replicates", type=int, default=None, help="override config")
-    p.add_argument("--base-seed", type=int, default=None, help="override config")
     p.add_argument("--out", default="sweep.csv")
 
     p = sub.add_parser("figure1", help="colloidal end-to-end reproduction run")
@@ -122,7 +115,7 @@ def _cmd_simulate(args) -> int:
     start = time.perf_counter()
     if args.mode == "underdamped":
         traj = simulate_underdamped(model, args.theta, params, grid,
-                                    SCHEMES[args.scheme], rng)
+                                    Scheme(args.scheme), rng)
     else:
         traj = simulate_overdamped(model, args.theta, params, grid, rng)
     elapsed = time.perf_counter() - start
@@ -166,24 +159,20 @@ _SWEEP_KEYS = {
 }
 
 
-def _sweep_config_from_file(args) -> SweepConfig:
-    raw = io.parse_config_file(args.config)
+def _sweep_config_from_file(path: str) -> SweepConfig:
+    raw = io.parse_config_file(path)
     for key in raw:
         if key not in _SWEEP_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
-    flags = {"replicates": args.replicates, "base_seed": args.base_seed}
-    values = {}
-    for key, convert in _SWEEP_KEYS.items():
-        default = getattr(SweepConfig, key, None)
-        values[key] = (flags[key] if flags.get(key) is not None
-                       else io.config_get(raw, key, convert, default))
+    values = {key: io.config_get(raw, key, convert, getattr(SweepConfig, key, None))
+              for key, convert in _SWEEP_KEYS.items()}
     return SweepConfig(model_id=values.pop("model"),
                        space=ParameterSpace(values.pop("theta_lo"), values.pop("theta_hi")),
                        **values)
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _sweep_config_from_file(args)
+    cfg = _sweep_config_from_file(args.config)
     rows = run_consistency_sweep(cfg)
     out = _out_path(args.out)
     io.write_sweep_csv(out, rows)

@@ -101,12 +101,15 @@ def path_coefficients(x: np.ndarray, dts: np.ndarray, model: DriftModel,
     return a, b, c
 
 
-def _check_coefficients(a: float, b: float):
+def _check_coefficients(a: float, b: float, c: float = 0.0):
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError(
             f"the objective's coefficients overflow (A={a:g}, B={b:g}): the "
             "drift scale b1 * dt / friction is too large along this path for "
             "the friction given")
+    if not math.isfinite(c):
+        raise ValueError(f"the objective's coefficient C = F(0) overflows (C={c:g}): the "
+                         "increments less b0 * dt / friction are too large to square and sum")
 
 
 def quadratic_coefficients(traj: Trajectory, model: DriftModel,
@@ -134,6 +137,7 @@ def objective_curve(traj: Trajectory, model: DriftModel, friction: float,
     """The objective at every theta of a grid, from the path's quadratic
     coefficients; a value that is not finite is a ValueError."""
     a, b, c = quadratic_coefficients(traj, model, friction)
+    _check_coefficients(a, b, c)
     with np.errstate(over="ignore", invalid="ignore"):
         values = (a * thetas + b) * thetas + c
     return _check_objective(values, thetas, np.min(thetas), np.max(thetas))
@@ -157,12 +161,14 @@ def minimize_closed_form(traj: Trajectory, model: DriftModel, friction: float,
                          space: ParameterSpace) -> EstimationResult:
     """Exact quadratic vertex, clipped to the parameter space, from the
     path's quadratic coefficients."""
-    a, b, _ = quadratic_coefficients(traj, model, friction)
+    a, b, c = quadratic_coefficients(traj, model, friction)
     theta_hat, at_boundary = clipped_vertex(a, b, space)
+    value = objective(traj, model, friction, theta_hat)
+    if not math.isfinite(value):  # B^2 / 4A can cancel an overflowing C: check it only here
+        _check_coefficients(a, b, c)
     return EstimationResult(
         theta_hat=theta_hat,
-        objective_at_min=_check_objective(objective(traj, model, friction, theta_hat),
-                                          theta_hat, space.lo, space.hi),
+        objective_at_min=_check_objective(value, theta_hat, space.lo, space.hi),
         method="closed-form",
         at_boundary=at_boundary,
         evaluations=1,
@@ -237,6 +243,8 @@ def uniform_objective_gap(traj_under: Trajectory, traj_over: Trajectory,
         raise ValueError("uniform_objective_gap requires trajectories on the same grid")
     au, bu, cu = quadratic_coefficients(traj_under, model, friction)
     ao, bo, co = quadratic_coefficients(traj_over, model, friction)
+    _check_coefficients(au, bu, cu)
+    _check_coefficients(ao, bo, co)
     da, db, dc = au - ao, bu - bo, cu - co
     lo, hi = space.lo, space.hi
     thetas = [lo, hi] if da == 0.0 else [lo, hi, min(max(-db / (2.0 * da), lo), hi)]

@@ -236,8 +236,8 @@ def config_get(cfg: dict, key: str, convert, default=None):
 
 
 def parse_list(text: str, convert):
-    """Comma-separated values, each converted; an empty list is an error."""
-    items = [s for s in text.replace(" ", "").split(",") if s]
-    if not items:
+    """Comma-separated values, each stripped and converted; a blank list is
+    an error, and so is an item that does not convert, an empty one included."""
+    if not text.strip():
         raise ValueError("empty list")
-    return [convert(s) for s in items]
+    return [convert(s.strip()) for s in text.split(",")]

@@ -30,8 +30,8 @@ from .core import (DivergenceError, DriftModel, ObservationGrid, SystemParams,
 
 
 class Scheme(Enum):
-    EULER_MARUYAMA = "euler-maruyama"
-    EXPONENTIAL_VELOCITY = "exponential-velocity"
+    EULER_MARUYAMA = "euler"
+    EXPONENTIAL_VELOCITY = "exponential"
 
 
 # doubles of noise drawn at a time, over all generators of a run, rounded

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -385,23 +386,32 @@ class TestEstimateCommand:
         assert proc.stdout == ""
         assert not (tmp_path / "c.csv").exists()
 
-    @pytest.mark.parametrize("rows,args,interval", [
-        # A and B are finite, but C overflows far from the wall
+    @pytest.mark.parametrize("rows,args,message", [
+        # A and B are finite, but C overflows far from the wall, and so the
+        # objective at the vertex: no interval makes it finite
         ("0,5000\n1,5001\n2,5000.5", ["--model", "colloidal", "--gamma", "1e-160",
                                       "--theta-lo", "0", "--theta-hi", "1e300"],
-         "[0, 1e+300]"),
+         "error: the objective's coefficient C = F(0) overflows (C=inf)"),
+        # coefficients (2, -0, inf): the objective is inf at every theta
+        ("0,0\n1,1e200\n2,0", ["--model", "constant-force", "--gamma", "1",
+                               "--theta-lo=-1", "--theta-hi", "1"],
+         "error: the objective's coefficient C = F(0) overflows (C=inf)"),
         # the fit is finite, the curve's A theta^2 overflows at the ends
         ("0,0\n1,1\n2,0.5", ["--model", "ou", "--gamma", "1", "--theta-lo=-1e300",
-                             "--theta-hi", "1e300"], "[-1e+300, 1e+300]"),
+                             "--theta-hi", "1e300"],
+         "not a finite value; narrow the interval [-1e+300, 1e+300]"),
         ("0,0\n1,1\n2,0.5", ["--model", "ou", "--gamma", "1", "--theta-lo", "1e299",
-                             "--theta-hi", "1e300"], "[1e+299, 1e+300]"),
-    ], ids=["overflowing-C", "overflowing-curve", "clipped-vertex"])
-    def test_non_finite_objective_exits_1(self, tmp_path, rows, args, interval):
+                             "--theta-hi", "1e300"],
+         "not a finite value; narrow the interval [1e+299, 1e+300]"),
+    ], ids=["overflowing-C", "overflowing-C-everywhere", "overflowing-curve",
+            "clipped-vertex"])
+    def test_non_finite_objective_exits_1(self, tmp_path, rows, args, message):
         (tmp_path / "p.csv").write_text("t,x\n" + rows + "\n")
         proc = run_cli(["estimate", "--traj", "p.csv", "--curve", "c.csv"] + args,
                        cwd=tmp_path)
         assert proc.returncode == 1
-        assert f"not a finite value; narrow the interval {interval}" in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
+        assert message in proc.stderr
         assert "Warning" not in proc.stderr
         assert proc.stdout == ""
         assert not (tmp_path / "c.csv").exists()
@@ -580,6 +590,37 @@ class TestUsageErrors:
         assert proc.stdout.startswith("usage: skestim")
         assert proc.stderr == ""
 
+    def test_simulate_usage_names_the_schemes(self, capsys, monkeypatch):
+        # the choices are the values of Scheme, in its order
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["simulate", "--help"])
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out.startswith(
+            "usage: skestim simulate [-h] --model {colloidal,constant-force,ou,zero-drift}\n"
+            "                        --gamma GAMMA --mode {underdamped,overdamped}\n"
+            "                        [--mu MU] --sigma SIGMA --theta THETA --n N --dt DT\n"
+            "                        [--substeps SUBSTEPS] [--scheme {euler,exponential}]\n"
+            "                        [--x0 X0] [--v0 V0] --seed SEED [--stream STREAM]\n"
+            "                        [--out OUT]\n")
+
+
+def readme_commands():
+    """Every skestim command in README's sh blocks, continuations joined."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = readme.split("```sh\n")[1:]
+    lines = "".join(b.split("```", 1)[0] for b in blocks).replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in lines.splitlines()
+            if line.startswith("skestim ")]
+
+
+def test_readme_examples_parse():
+    # parsed only, not run; a flag the CLI drops fails here with exit 1
+    commands = readme_commands()
+    assert {args[0] for args in commands} == set(cli._COMMANDS)
+    for args in commands:
+        assert cli._build_parser().parse_args(args).command == args[0]
+
 
 SWEEP_CFG = """\
 model = ou
@@ -642,13 +683,42 @@ class TestSweepCommand:
         assert proc.stdout == ""
         assert not (tmp_path / "sweep.csv").exists()
 
-    def test_flag_overrides_config(self, tmp_path):
+    @pytest.mark.parametrize("flag", ["--replicates", "--base-seed"])
+    def test_config_keys_are_not_flags(self, tmp_path, flag):
+        # replicates and base_seed are set in the config file alone
         (tmp_path / "sweep.cfg").write_text(SWEEP_CFG)
-        proc = run_cli(["sweep", "--config", "sweep.cfg", "--replicates", "1"],
-                       cwd=tmp_path)
-        assert proc.returncode == 0, proc.stderr
-        lines = (tmp_path / "sweep.csv").read_text().splitlines()
-        assert len(lines) == 1 + 4
+        proc = run_cli(["sweep", "--config", "sweep.cfg", flag, "1"], cwd=tmp_path)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("usage: skestim")
+        assert proc.stderr.splitlines()[-1] == (
+            f"skestim: error: unrecognized arguments: {flag} 1")
+        assert proc.stdout == ""
+        assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("old,new,message", [
+        ("mu_values = 0.1, 0.01", "mu_values = 0.0 1",
+         "config key 'mu_values': cannot parse '0.0 1' "
+         "(could not convert string to float: '0.0 1')"),
+        ("n_values = 20, 40", "n_values = 10 0",
+         "config key 'n_values': cannot parse '10 0' "
+         "(invalid literal for int() with base 10: '10 0')"),
+        ("mu_values = 0.1, 0.01", "mu_values = 0.1,,0.01",
+         "config key 'mu_values': cannot parse '0.1,,0.01' "
+         "(could not convert string to float: '')"),
+        ("n_values = 20, 40", "n_values = 20, 40,",
+         "config key 'n_values': cannot parse '20, 40,' "
+         "(invalid literal for int() with base 10: '')"),
+    ], ids=["glued-mu", "glued-n", "empty-item", "trailing-comma"])
+    def test_list_item_that_is_not_a_number_exits_1(self, tmp_path, capsys,
+                                                    old, new, message):
+        # a space inside a value glued its digits: 0.0 1 ran mu = 0.01 and
+        # 10 0 ran n = 100, with exit 0; an empty item was dropped
+        (tmp_path / "sweep.cfg").write_text(SWEEP_CFG.replace(old, new))
+        out = tmp_path / "sweep.csv"
+        assert cli.main(["sweep", "--config", str(tmp_path / "sweep.cfg"),
+                         "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("case,error,code", [
         ("model = constant-force\ngamma = 1e-307\nsigma = 0\ntheta_true = 0\n",
@@ -689,9 +759,7 @@ class TestSweepCommand:
         (tmp_path / "min.cfg").write_text(
             "model = ou\nmu_values = 0.1\nn_values = 20\ntheta_true = 1\n"
             "theta_lo = -5\ntheta_hi = 5\n")
-        args = cli._build_parser().parse_args(["sweep", "--config",
-                                               str(tmp_path / "min.cfg")])
-        assert cli._sweep_config_from_file(args) == SweepConfig(
+        assert cli._sweep_config_from_file(str(tmp_path / "min.cfg")) == SweepConfig(
             mu_values=[0.1], n_values=[20], delta=1.0, replicates=1, base_seed=0,
             model_id="ou", theta_true=1.0, space=ParameterSpace(-5.0, 5.0),
             gamma=1.0, sigma=1.0, x0=1.0, v0=0.0, substeps=4)
@@ -761,8 +829,11 @@ class TestGammaDiagnosticCommand:
             "c2bb85a7d456c165408d1d51756fb91cc29be5ca450658b446767850847446bc")
 
     @pytest.mark.parametrize("value,message", [
-        ("", "empty list"), ("0.1,abc", "could not convert string to float: 'abc'")],
-        ids=["empty", "not-a-float"])
+        ("", "empty list"), ("0.1,abc", "could not convert string to float: 'abc'"),
+        ("1 2", "could not convert string to float: '1 2'"),
+        ("0.1,,0.01", "could not convert string to float: ''"),
+        ("0.1,", "could not convert string to float: ''")],
+        ids=["empty", "not-a-float", "glued", "empty-item", "trailing-comma"])
     def test_bad_mu_values_exit_1_naming_the_flag(self, tmp_path, value, message):
         proc = run_cli(["gamma-diagnostic", "--seed", "1", f"--mu-values={value}"],
                        cwd=tmp_path)

@@ -126,14 +126,36 @@ class TestClosedForm:
             with pytest.raises(ValueError, match="coefficients overflow"):
                 run()
 
-    def test_non_finite_objective_at_the_vertex_names_the_interval(self):
+    def test_non_finite_objective_at_the_vertex_names_c(self):
         # far from the wall at a tiny friction A and B stay finite, but C and
-        # so the objective at the vertex overflow
+        # so the objective at the vertex overflow; it named the interval
         traj = Trajectory(grid=ObservationGrid([0.0, 1.0, 2.0]),
                           positions=np.array([5000.0, 5001.0, 5000.5]))
-        with pytest.raises(ValueError, match=r"inf at theta=.*\[0, 1e\+300\]"):
+        with pytest.raises(ValueError, match=r"coefficient C = F\(0\) overflows \(C=inf\)"):
             minimize_closed_form(traj, MODELS["colloidal"], 1e-160,
                                  ParameterSpace(0.0, 1e300))
+
+    @pytest.mark.parametrize("run", [
+        lambda t, s: minimize_closed_form(t, CONST_FORCE, 1.0, s),
+        lambda t, s: objective_curve(t, CONST_FORCE, 1.0, np.linspace(s.lo, s.hi, 5)),
+        lambda t, s: uniform_objective_gap(t, t, CONST_FORCE, 1.0, s)],
+        ids=["closed-form", "curve", "gap"])
+    def test_overflowing_c_is_named_not_the_interval(self, run):
+        # coefficients (2, -0, inf): the objective is inf at every theta, and
+        # each call told the user to narrow the interval
+        traj = Trajectory(grid=ObservationGrid([0.0, 1.0, 2.0]),
+                          positions=np.array([0.0, 1e200, 0.0]))
+        with pytest.raises(ValueError, match=r"^the objective's coefficient C = F\(0\) "
+                                             r"overflows \(C=inf\): the increments"):
+            run(traj, ParameterSpace(-1.0, 1.0))
+
+    def test_overflowing_c_cancelled_at_the_vertex_still_fits(self):
+        # C = 1e400 overflows, but the residual vanishes at the vertex
+        # theta = 1e200, where the direct objective is 0
+        traj = Trajectory(grid=ObservationGrid([0.0, 1.0]), positions=np.array([0.0, 1e200]))
+        assert quadratic_coefficients(traj, CONST_FORCE, 1.0) == (1.0, -2e200, math.inf)
+        result = minimize_closed_form(traj, CONST_FORCE, 1.0, ParameterSpace(-1.0, 1e300))
+        assert (result.theta_hat, result.objective_at_min) == (1e200, 0.0)
 
     def test_non_finite_objective_at_the_clipped_vertex(self):
         traj = Trajectory(grid=ObservationGrid([0.0, 1.0, 2.0]),
@@ -424,13 +446,13 @@ class TestUniformObjectiveGap:
     def test_non_finite_gap_is_a_value_error(self):
         # C overflows while A and B stay finite; the gap was nan for the path
         # with itself and inf with a finite path, which gamma-diagnostic
-        # would have written to its CSV with exit 0
+        # would have written to its CSV with exit 0. The error names C
         grid = ObservationGrid([0.0, 1.0, 2.0])
         big = Trajectory(grid=grid, positions=np.array([0.0, 1e200, 0.0]))
         small = Trajectory(grid=grid, positions=np.array([0.0, 1.0, 0.0]))
         assert quadratic_coefficients(big, CONST_FORCE, 1.0) == (2.0, -0.0, math.inf)
         for under, over in [(big, big), (big, small), (small, big)]:
-            with pytest.raises(ValueError, match=r"at theta=-1, .* \[-1, 1\]$"):
+            with pytest.raises(ValueError, match=r"C = F\(0\) overflows \(C=inf\)"):
                 uniform_objective_gap(under, over, CONST_FORCE, 1.0,
                                       ParameterSpace(-1.0, 1.0))
 

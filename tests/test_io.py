@@ -316,8 +316,17 @@ class TestConfigParser:
         with pytest.raises(ConfigError, match="delta"):
             io.config_get({}, "delta", float)
 
-    def test_list_parsers(self):
+    @pytest.mark.parametrize("text,convert,message", [
+        ("", float, "empty list"), (" \t", int, "empty list"),
+        ("0.0 1", float, "'0.0 1'"), ("10 0", int, "'10 0'"),
+        ("1,,2", float, "''"), ("10,", int, "''"), (",", float, "''")],
+        ids=["empty", "blank", "glued-floats", "glued-ints", "empty-item",
+             "trailing-comma", "only-a-comma"])
+    def test_list_parsers(self, text, convert, message):
+        # every item converts, so a space inside a number is no longer
+        # dropped to glue its digits ("0.0 1" read as 0.01, "10 0" as 100)
+        # and an empty item is no longer skipped
         assert io.parse_list("0.1, 0.01,1e-3", float) == [0.1, 0.01, 1e-3]
-        assert io.parse_list("100,1000", int) == [100, 1000]
-        with pytest.raises(ValueError):
-            io.parse_list("", float)
+        assert io.parse_list(" 100 ,1000 ", int) == [100, 1000]
+        with pytest.raises(ValueError, match=f"{message}$"):
+            io.parse_list(text, convert)

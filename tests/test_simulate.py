@@ -329,27 +329,27 @@ class TestBatch:
 # recorded before the integrator loops ran on Python floats. A kernel change
 # that moves any float of any scheme fails here and must say so.
 FROZEN_DIGESTS = {
-    ("colloidal", 1, "exponential-velocity"):
+    ("colloidal", 1, EXP):
         "e7f2abcac09e8d0c9aff681de049d04efe5ab4cadd34eec7bf36a94d32894ad4",
-    ("colloidal", 1, "euler-maruyama"):
+    ("colloidal", 1, EM):
         "f6cad3bb46ec4c2e9318b487ea8d1d166313ee5070b7c0e88b40e77000f4bd4a",
     ("colloidal", 1, "overdamped"):
         "3f6d4c2a2d637347b40a931464f53100cbb0a0c60cfa02ea95f222461de1260b",
-    ("colloidal", 10, "exponential-velocity"):
+    ("colloidal", 10, EXP):
         "e26d7d7a69f039cd01c4177ce7435e5a5ec5dfc75dcf218dbbe328a772b5f6a8",
-    ("colloidal", 10, "euler-maruyama"):
+    ("colloidal", 10, EM):
         "363357e537ff2d5bc8c10922843dc9f5401d5af255d7c79f30dc212dcb9f9c0b",
     ("colloidal", 10, "overdamped"):
         "9c84b95ac453f704be862cddc5931f84c5ef409108b3971dfb45489d06a00008",
-    ("ou", 1, "exponential-velocity"):
+    ("ou", 1, EXP):
         "a4c76eabf60386a9757416db916167fd47b310e832b415d25ee4c4c4d3227249",
-    ("ou", 1, "euler-maruyama"):
+    ("ou", 1, EM):
         "c5e70e2276195ee2edf70848f99318ac06130f6b4bce22433c1b4504825c8ebb",
     ("ou", 1, "overdamped"):
         "4538bb4a7e3362e42839875fdd0717e5dfa1efcad9432b8f50990e01d8c1d98f",
-    ("ou", 10, "exponential-velocity"):
+    ("ou", 10, EXP):
         "e2010bb4fc261384093919d17b1a8ae7ad03650d12b9d9b076968762b2a82046",
-    ("ou", 10, "euler-maruyama"):
+    ("ou", 10, EM):
         "e27e71f6c00c9b715aeab7b02e3aa14c1a72c5582aef4095182df5a8fc25ddbf",
     ("ou", 10, "overdamped"):
         "1f2448c5d5007484f715c999689f271b44464350953f29ae53501f0b0760dcb2",
@@ -368,21 +368,21 @@ def frozen_digest(model_id, substeps, scheme):
         traj = simulate_overdamped(model, theta, p, grid, rng)
     else:
         # Euler at a mass its stability guard admits at one substep
-        mu = 1e-3 if scheme == EXP.value else 0.1
+        mu = 1e-3 if scheme is EXP else 0.1
         p = SystemParams(mass=mu, friction=gamma, noise=sigma, x0=x0, v0=0.0)
-        traj = simulate_underdamped(model, theta, p, grid, Scheme(scheme), rng)
+        traj = simulate_underdamped(model, theta, p, grid, scheme, rng)
     digest = hashlib.sha256(traj.positions.astype("<f8").tobytes())
     if traj.velocities is not None:
         digest.update(traj.velocities.astype("<f8").tobytes())
     return digest.hexdigest()
 
 
-@pytest.mark.parametrize("model_id,substeps,scheme", sorted(FROZEN_DIGESTS))
+@pytest.mark.parametrize("model_id,substeps,scheme", list(FROZEN_DIGESTS))
 def test_frozen_outputs(model_id, substeps, scheme):
     assert frozen_digest(model_id, substeps, scheme) == FROZEN_DIGESTS[model_id, substeps, scheme]
 
 
-@pytest.mark.parametrize("model_id,substeps,scheme", sorted(FROZEN_DIGESTS))
+@pytest.mark.parametrize("model_id,substeps,scheme", list(FROZEN_DIGESTS))
 def test_frozen_outputs_in_small_draws(monkeypatch, model_id, substeps, scheme):
     # 23 doubles a draw: the 200 intervals take 9 draws at one substep and
     # 100 draws of two intervals at ten
