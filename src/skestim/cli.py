@@ -103,6 +103,7 @@ def _build_parser():
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", default=None)
 
+    parser.commands = sub.choices
     return parser
 
 
@@ -247,7 +248,10 @@ def _fail(exc_type, message) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args, extra = parser.parse_known_args(argv)
+    if extra:  # under the usage of the subcommand, which lists the flags it takes
+        parser.commands[args.command].error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return _COMMANDS[args.command](args)
     except tuple(_EXIT_CODES) as exc:

@@ -128,12 +128,12 @@ class SystemParams:
             raise ValueError(f"noise must be >= 0, got {self.noise}")
 
 
-def check_friction(friction: float, widths: np.ndarray, **numerators: float):
+def check_friction(friction: float, widths, **numerators: float):
     """Raise ValueError unless friction is finite, friction * smallest step > 0,
     and the largest step, 1 and each named numerator over friction are finite."""
     # a subnormal friction passes SystemParams but can fail these
-    quotients = {"step": float(widths.max()), "1": 1.0, **numerators}
-    if not (math.isfinite(friction) and friction * float(widths.min()) > 0
+    quotients = {"step": float(np.max(widths)), "1": 1.0, **numerators}
+    if not (math.isfinite(friction) and friction * float(np.min(widths)) > 0
             and all(math.isfinite(c / friction) for c in quotients.values())):
         raise ValueError(
             f"friction must be finite, with friction * step > 0 and "
@@ -143,7 +143,8 @@ def check_friction(friction: float, widths: np.ndarray, **numerators: float):
 class ObservationGrid:
     """Observation times 0 = t_0 < t_1 < ... < t_n = T plus a simulation
     refinement: the integrator takes `substeps_per_interval` internal steps
-    inside each observation interval.
+    inside each observation interval. Only a grid from `uniform` has a
+    spacing, which the integrators need; one built from times has None.
     """
 
     def __init__(self, times, substeps_per_interval: int = 1):
@@ -167,6 +168,7 @@ class ObservationGrid:
         self.substeps_per_interval = int(substeps_per_interval)
         self.dts = dts
         self.dts.setflags(write=False)
+        self.spacing = None
 
     @classmethod
     def uniform(cls, n: int, dt: float, substeps_per_interval: int = 1) -> "ObservationGrid":
@@ -174,7 +176,9 @@ class ObservationGrid:
             raise ValueError("n must be >= 1")
         if not (dt > 0 and math.isfinite(dt * n)):
             raise ValueError(f"dt must be finite and > 0 with n * dt finite, got {dt}")
-        return cls(dt * np.arange(n + 1), substeps_per_interval)
+        grid = cls(dt * np.arange(n + 1), substeps_per_interval)
+        grid.spacing = float(dt)
+        return grid
 
     @property
     def n_intervals(self) -> int:
@@ -269,17 +273,17 @@ def philox_generator(seed: int, stream_id: int):
     return np.random.Generator(np.random.Philox(_stream_key(int(seed), int(stream_id))))
 
 
-def draw_increments(rngs, dts: np.ndarray, substeps: int) -> np.ndarray:
-    """The noise of the next len(dts) observation intervals of every
-    generator, one row each: substeps increments per interval, each
-    N(0, dt / substeps).
+def draw_increments(rngs, count: int, scale: float, shift: float = 0.0) -> np.ndarray:
+    """The next count standard normals z of every generator, one row each,
+    as shift + scale * z, scaled in place: with scale sqrt(h), the Brownian
+    increments of count substeps of width h.
 
     Each row continues its generator's stream, so consecutive draws joined
-    end to end equal one draw of all their intervals.
+    end to end equal one draw of their total count.
     """
-    widths = np.repeat(dts / substeps, substeps)
-    out = np.empty((len(rngs), len(widths)))
+    out = np.empty((len(rngs), count))
     for row, rng in zip(out, rngs):
         rng.standard_normal(out=row)
-    out *= np.sqrt(widths, out=widths)
+    out *= scale
+    out += shift
     return out

@@ -189,7 +189,9 @@ def minimize_golden(traj: Trajectory, model: DriftModel, friction: float,
     def f(theta):
         nonlocal evals
         evals += 1
-        return _check_objective(path_objective(theta), theta, space.lo, space.hi)
+        if not math.isfinite(value := path_objective(theta)):  # name an overflowing A, B or C
+            _check_coefficients(*quadratic_coefficients(traj, model, friction))
+        return _check_objective(value, theta, space.lo, space.hi)
 
     # F is convex or flat, so largest at an end: the ends go first, to report
     # any non-finite F, and four equal values mean a flat F. Both inner points

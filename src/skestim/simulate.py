@@ -13,9 +13,14 @@ Two underdamped schemes are provided. Plain Euler-Maruyama is stiff for small
 mass, so the default is an exponential-velocity scheme: over each substep the
 force b + sigma*dW/dt is frozen and the linear friction flow is integrated
 exactly (integrating factor exp(-gamma*dt/mu)). As mu -> 0 each substep
-degenerates to exactly the overdamped Euler-Maruyama step with the same
-Brownian increment, so coupled runs converge pathwise. One python-float loop,
+degenerates to the overdamped Euler-Maruyama step with the same Brownian
+increment, so coupled runs converge pathwise. One python-float loop,
 _scalar_run, serves these three schemes: two underdamped, one overdamped.
+
+A run steps its grid, which must come from ObservationGrid.uniform, at one
+substep width h = dt / substeps, so a step's coefficients are constants of
+the run. Each noise draw is scaled in place to e = c0 + cn * sqrt(h) * z,
+the step's theta-independent terms, and a substep adds c1 * b1(x) to it.
 """
 
 import math
@@ -40,44 +45,52 @@ class Scheme(Enum):
 _DRAW_DOUBLES = 65536
 
 
-def _check_inputs(theta: float, params: SystemParams, grid: ObservationGrid, scheme):
+def _step_constants(model: DriftModel, theta: float, params: SystemParams,
+                    grid: ObservationGrid, scheme):
+    """The constants of a substep under scheme (None: overdamped): the width
+    h of a uniform grid; (c1, c0, cn), its drift term c1 * b1 and noise term
+    e = c0 + cn * sqrt(h) * z; Euler's velocity decay gamma * h / mu; and the
+    exponential step's flow (a, 1 - a, relax, tail). Inputs a substep cannot
+    take are a ValueError, raised before any draw."""
+    if grid.spacing is None:
+        raise ValueError("only a grid from ObservationGrid.uniform can be integrated, "
+                         "at its one substep width; this one was built from times")
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta}")
-    widths = grid.dts / grid.substeps_per_interval
-    # the mass enters only the underdamped system (scheme None: overdamped)
-    mass = {} if scheme is None else {"mu": params.mass}
-    check_friction(params.friction, widths, sigma=params.noise, **mass)
-    # the exponential-velocity step divides sigma by gamma times the substep
-    h = float(widths.min())
-    if (scheme is Scheme.EXPONENTIAL_VELOCITY
-            and not math.isfinite(params.noise / (params.friction * h))):
-        raise ValueError(
-            f"substep {h:g} is too small for the exponential-velocity scheme: "
-            "sigma / (gamma * substep) overflows; widen dt or take fewer substeps")
-    h, guard = float(widths.max()), params.mass / (2.0 * params.friction)
-    if scheme is Scheme.EULER_MARUYAMA and not h < guard:
+    mu, gamma, sigma = params.mass, params.friction, params.noise
+    h = grid.spacing / grid.substeps_per_interval
+    # the mass enters only the underdamped system
+    check_friction(gamma, h, sigma=sigma, **({} if scheme is None else {"mu": mu}))
+    if scheme is Scheme.EULER_MARUYAMA and not h < mu / (2.0 * gamma):
         raise ValueError(f"Euler-Maruyama stability guard violated: substep {h:g} "
-                         f">= mu/(2*gamma) = {guard:g}")
+                         f">= mu/(2*gamma) = {mu / (2.0 * gamma):g}")
+    # the force is divided by the mass in Euler's velocity step, else by the friction
+    name, d = ("mass", mu) if scheme is Scheme.EULER_MARUYAMA else ("friction", gamma)
+    if scheme is Scheme.EXPONENTIAL_VELOCITY:  # the force frozen over the substep
+        c1, c0, cn = theta / d, model.b0 / d, sigma / (d * h)
+        if not math.isfinite(cn):
+            raise ValueError(
+                f"substep {h:g} is too small for the exponential-velocity scheme: "
+                "sigma / (gamma * substep) overflows; widen dt or take fewer substeps")
+    else:
+        c1, c0, cn = theta * (h / d), model.b0 * (h / d), sigma / d
+    if not math.isfinite(c1):
+        raise ValueError(f"theta={theta:g} is too large for {name}={d:g}: the "
+                         "drift coefficient of a substep overflows")
+    a = math.exp(-gamma * h / mu)
+    relax = (mu / gamma) * (1.0 - a)  # integral of the decay over one substep
+    return h, c1, c0, cn, gamma * h / mu, a, 1.0 - a, relax, h - relax
 
 
-def _noise_chunks(grid: ObservationGrid, rngs):
-    """(k0, widths, increments) for consecutive runs of whole intervals from
-    k0 on: a memoryview of their substep widths, which yields python floats,
-    and the increments one row per generator, as draw_increments gives them."""
+def _noise_chunks(grid: ObservationGrid, rngs, h: float, c0: float, cn: float):
+    """(k0, terms) for consecutive runs of whole intervals from k0 on: the
+    noise terms c0 + cn * sqrt(h) * z of their substeps, one row per
+    generator, as draw_increments gives them."""
     s = grid.substeps_per_interval
     per_draw = max(1, _DRAW_DOUBLES // (len(rngs) * s))
     for k0 in range(0, grid.n_intervals, per_draw):
-        dts = grid.dts[k0:k0 + per_draw]
-        yield k0, (dts / s).data, draw_increments(rngs, dts, s)
-
-
-def _exponential_coefficients(h: float, mu: float, gamma: float, sigma: float):
-    """Per-substep coefficients (a, 1 - a, relax, tail, inv_sg, inv_g) of the
-    exponential-velocity scheme for substep width h."""
-    a = math.exp(-gamma * h / mu)
-    one_a = 1.0 - a
-    relax = (mu / gamma) * one_a  # integral of the decay over one substep
-    return a, one_a, relax, h - relax, sigma / (gamma * h), 1.0 / gamma
+        count = min(per_draw, grid.n_intervals - k0) * s
+        yield k0, draw_increments(rngs, count, cn * math.sqrt(h), c0)
 
 
 def _diverged(grid: ObservationGrid, k: int, **state) -> DivergenceError:
@@ -96,19 +109,16 @@ def _scalar_run(model: DriftModel, theta: float, params: SystemParams,
     """One path on the noise the generator rng draws next, in python floats:
     the underdamped system under scheme, or its overdamped limit when scheme
     is None (then no velocity is kept). Returns the observations only."""
-    _check_inputs(theta, params, grid, scheme)
-    mu, gamma, sigma = params.mass, params.friction, params.noise
+    h, c1, c0, cn, cg, a, one_a, relax, tail = _step_constants(
+        model, theta, params, grid, scheme)
     overdamped, euler = scheme is None, scheme is Scheme.EULER_MARUYAMA
     x, v = float(params.x0), 0.0 if overdamped else float(params.v0)
-    b0 = model.b0
     s = grid.substeps_per_interval
 
     positions, velocities = array("d", [x]), array("d", [v])
     buffers = {"x": positions} if overdamped else {"x": positions, "v": velocities}
     put_x, put_v = positions.append, velocities.append
-    coefficients = {}  # per distinct substep width; a uniform grid has few
-    cs = sigma / gamma if overdamped else sigma / mu
-    for k0, widths, block in _noise_chunks(grid, [rng]):
+    for k0, block in _noise_chunks(grid, [rng], h, c0, cn):
         start = x, v
         # b1(k * x) is the model's b1: its profile and rate, a frame-free call
         # for a builtin; then, from the chunk's start again if that raised
@@ -116,25 +126,17 @@ def _scalar_run(model: DriftModel, theta: float, params: SystemParams,
         for b1, k in (model.profile, model.rate), (model.b1_scalar, 1.0):
             steps = iter(block[0].data)
             try:
-                for h, dws in zip(widths, zip(*[steps] * s)):  # each interval's s increments
+                for terms in zip(*[steps] * s):  # each interval's s noise terms
                     if overdamped:
-                        cb = h / gamma
-                        for dw in dws:
-                            x = x + (theta * b1(k * x) + b0) * cb + cs * dw
+                        for e in terms:
+                            x = x + c1 * b1(k * x) + e
                     elif euler:
-                        cb = h / mu
-                        cg = gamma * h / mu
-                        for dw in dws:
-                            b = theta * b1(k * x) + b0
-                            x, v = x + v * h, v + b * cb - v * cg + cs * dw
+                        for e in terms:
+                            x, v = x + v * h, v + c1 * b1(k * x) - v * cg + e
                         put_v(v)
                     else:
-                        c = coefficients.get(h)
-                        if c is None:
-                            c = coefficients[h] = _exponential_coefficients(h, mu, gamma, sigma)
-                        a, one_a, relax, tail, inv_sg, inv_g = c
-                        for dw in dws:
-                            f = (theta * b1(k * x) + b0) * inv_g + inv_sg * dw
+                        for e in terms:
+                            f = c1 * b1(k * x) + e
                             x = x + relax * v + tail * f
                             v = a * v + one_a * f
                         put_v(v)
@@ -183,30 +185,25 @@ def simulate_underdamped_batch(model: DriftModel, theta: float,
     each row None or, from the chunk where it diverges on, the DivergenceError
     that run would raise; the row is then not finite from that observation on.
     """
-    _check_inputs(theta, params, grid, Scheme.EXPONENTIAL_VELOCITY)
-    mu, gamma, sigma = params.mass, params.friction, params.noise
-    b1, b0 = model.b1, model.b0
-    s = grid.substeps_per_interval
+    h, c1, c0, cn, _, a, one_a, relax, tail = _step_constants(
+        model, theta, params, grid, Scheme.EXPONENTIAL_VELOCITY)
+    b1, s = model.b1, grid.substeps_per_interval
     x = np.full(len(rngs), float(params.x0))
     v = np.full(len(rngs), float(params.v0))
     errors = [None] * len(rngs)
-    coefficients = {}  # per distinct substep width, as in _scalar_run
 
-    for k0, widths, block in _noise_chunks(grid, rngs):
+    for k0, block in _noise_chunks(grid, rngs, h, c0, cn):
         steps = iter(block.T)
-        positions = np.empty((len(rngs), len(widths) + 1))
+        m = block.shape[1] // s  # the chunk's intervals
+        positions = np.empty((len(rngs), m + 1))
         positions[:, 0] = x
-        # each interval's first increment, once spent, holds its last velocity
+        # each interval's first noise term, once spent, holds its last velocity
         velocities = block[:, ::s]
         # a diverging row overflows; it is reported below and the others go on
         with np.errstate(all="ignore"):
-            for i, h in enumerate(widths, 1):
-                c = coefficients.get(h)
-                if c is None:
-                    c = coefficients[h] = _exponential_coefficients(h, mu, gamma, sigma)
-                a, one_a, relax, tail, inv_sg, inv_g = c
-                for dw in islice(steps, s):
-                    f = (theta * b1(x) + b0) * inv_g + inv_sg * dw
+            for i in range(1, m + 1):
+                for e in islice(steps, s):
+                    f = c1 * b1(x) + e
                     x = x + relax * v + tail * f
                     v = a * v + one_a * f
                 positions[:, i] = x

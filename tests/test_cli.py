@@ -182,6 +182,18 @@ class TestSimulateCommand:
         assert "theta must be finite" in proc.stderr
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("mode,dt", [("underdamped", "0.01"), ("overdamped", "1")])
+    def test_drift_coefficient_overflowing_exits_1(self, tmp_path, mode, dt):
+        # theta / friction, or theta * substep / friction, overflows: with b1 = 0
+        # the run once gave the zero-drift path, and now stops before any draw
+        proc = run_cli(["simulate", "--model", "zero-drift", "--mode", mode, "--gamma=1e-10",
+                        "--sigma", "1", "--theta=1e300", "--n", "10", "--dt", dt,
+                        "--seed", "1", "--out", "x.csv"], cwd=tmp_path)
+        assert proc.returncode == 1
+        assert proc.stderr == ("error: theta=1e+300 is too large for friction=1e-10: "
+                               "the drift coefficient of a substep overflows\n")
+        assert not (tmp_path / "x.csv").exists()
+
     @pytest.mark.parametrize("dt", ["inf", "nan"])
     def test_non_finite_dt_exits_1(self, tmp_path, dt):
         args = [a if a != "0.01" else dt for a in SIMULATE_ARGS]
@@ -396,6 +408,9 @@ class TestEstimateCommand:
         ("0,0\n1,1e200\n2,0", ["--model", "constant-force", "--gamma", "1",
                                "--theta-lo=-1", "--theta-hi", "1"],
          "error: the objective's coefficient C = F(0) overflows (C=inf)"),
+        ("0,0\n1,1e200\n2,0", ["--model", "constant-force", "--gamma", "1",
+                               "--theta-lo=-1", "--theta-hi", "1", "--method", "golden"],
+         "error: the objective's coefficient C = F(0) overflows (C=inf)"),
         # the fit is finite, the curve's A theta^2 overflows at the ends
         ("0,0\n1,1\n2,0.5", ["--model", "ou", "--gamma", "1", "--theta-lo=-1e300",
                              "--theta-hi", "1e300"],
@@ -403,8 +418,8 @@ class TestEstimateCommand:
         ("0,0\n1,1\n2,0.5", ["--model", "ou", "--gamma", "1", "--theta-lo", "1e299",
                              "--theta-hi", "1e300"],
          "not a finite value; narrow the interval [1e+299, 1e+300]"),
-    ], ids=["overflowing-C", "overflowing-C-everywhere", "overflowing-curve",
-            "clipped-vertex"])
+    ], ids=["overflowing-C", "overflowing-C-everywhere", "overflowing-C-everywhere-golden",
+            "overflowing-curve", "clipped-vertex"])
     def test_non_finite_objective_exits_1(self, tmp_path, rows, args, message):
         (tmp_path / "p.csv").write_text("t,x\n" + rows + "\n")
         proc = run_cli(["estimate", "--traj", "p.csv", "--curve", "c.csv"] + args,
@@ -419,8 +434,8 @@ class TestEstimateCommand:
     @pytest.mark.parametrize("method,evaluations", [("closed-form", 1),
                                                     ("golden", 52)])
     def test_curve_frozen(self, tmp_path, capsys, method, evaluations):
-        # SHA-256 of the curve CSV and the exact result line, pinned before
-        # the curve went through the shared column writer
+        # SHA-256 of the curve CSV and the exact result line, re-pinned when
+        # the simulators took one substep width per grid
         traj, curve = str(tmp_path / "traj.csv"), str(tmp_path / "curve.csv")
         assert cli.main(SIMULATE_ARGS[:-1] + [traj]) == 0
         capsys.readouterr()
@@ -434,7 +449,7 @@ class TestEstimateCommand:
             f"wrote {curve}\n")
         # the curve does not depend on the method
         assert sha256_of(curve) == (
-            "4c3a724d3e8fb0ae1f6f06fed6fc35ede82d78a9f2e7976feb1e417c518173a6")
+            "f5177561d8588eae1fd7a80fc973214a1c3cc2772959c269096e0b5e6d54a93e")
 
     @pytest.mark.parametrize("method,binding", [("closed-form", "minimize_closed_form"),
                                                 ("golden", "minimize_golden")])
@@ -689,9 +704,9 @@ class TestSweepCommand:
         (tmp_path / "sweep.cfg").write_text(SWEEP_CFG)
         proc = run_cli(["sweep", "--config", "sweep.cfg", flag, "1"], cwd=tmp_path)
         assert proc.returncode == 1
-        assert proc.stderr.startswith("usage: skestim")
+        assert proc.stderr.splitlines()[0].startswith("usage: skestim sweep [-h] --config")
         assert proc.stderr.splitlines()[-1] == (
-            f"skestim: error: unrecognized arguments: {flag} 1")
+            f"skestim sweep: error: unrecognized arguments: {flag} 1")
         assert proc.stdout == ""
         assert not (tmp_path / "sweep.csv").exists()
 
@@ -739,7 +754,7 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize("case,code,digest", [
         ("", 0, (
-         "c88e833354c59682643c25a5acdcfb29fc83b22f296d94c22a497c0ea21b7443")),
+         "25e290a515e47f0e30fc7e1a449ff2530a9962422ca8612b2b5e7f8fd490e506")),
         ("model = colloidal\ntheta_true = -1000\n", 2, (
          "c54992e6c93a672a491c229beb940b0969fbb524df65ddf7a269ba093e5806be")),
     ], ids=["ou", "error-rows"])
@@ -779,17 +794,17 @@ class TestFigure1Command:
         assert "theta_hat=" in proc.stdout
 
     def test_files_frozen(self, tmp_path):
-        # SHA-256 of the three files, pinned before the curve went through
-        # the shared column writer and the result line through a list
+        # SHA-256 of the three files, re-pinned when the simulators took one
+        # substep width per grid
         assert cli.main(self.ARGS[:-1] + [str(tmp_path / "fig1")]) == 0
         assert {name: sha256_of(tmp_path / "fig1" / name) for name in [
             "figure1_trajectory.csv", "figure1_curve.csv", "figure1_result.txt"]} == {
             "figure1_trajectory.csv":
-                "aa8b4ade5d627f35216fedff6678db08d29e9a0b3cf9d3253c743067d95aefba",
+                "efedbc3e46eb58d3bd7282f8957ef74496be3e95ce38b73801838dfd4cd60861",
             "figure1_curve.csv":
-                "8ed3f681acf6cdcc3046f201a51a62934038497fef7052d5b0d8bcbae227e9fa",
+                "ab83fba3a47f5ef2d3979d48f8c19bf38e74b0f5e30e9b20f4d0c4ca6bb1f5ee",
             "figure1_result.txt":
-                "53d4ea84a844d37c6395e69651aad2ec89373e6ab22d62dabfb1117d0e416baa",
+                "7695080b0f00a8de90049f2eccbfabd162b7971b9fd7d52b9af45911884d5e4d",
         }
 
     def test_rerun_byte_identical(self, tmp_path):
@@ -820,13 +835,14 @@ class TestGammaDiagnosticCommand:
         # gives the bytes that one overdamped run per mass gave. Re-pinned when
         # the gap became the exact sup: the mu = 1e-4 row's sup lies at an inner
         # vertex, theta ~ 6.4e-5, and the 1,001-point grid it replaced fell
-        # short there (10802.893860696724, now 10802.894774307482)
+        # short there (10802.893860696724, then 10802.894774307482). Re-pinned
+        # when each grid took one substep width: 10802.894774307948
         out = tmp_path / "gamma.csv"
         assert cli.main(["gamma-diagnostic", "--seed", "5", "--n", "300",
                          "--substeps", "7", "--mu-values", "0.2,0.003,1e-4",
                          "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "c2bb85a7d456c165408d1d51756fb91cc29be5ca450658b446767850847446bc")
+            "82245d8bbb4a2f3c1b9d91377f62ba9edd265a5291e8bd3320cb3dce8b498ec3")
 
     @pytest.mark.parametrize("value,message", [
         ("", "empty list"), ("0.1,abc", "could not convert string to float: 'abc'"),

@@ -76,13 +76,13 @@ class TestNoisePath:
         se = np.std(inc) / math.sqrt(len(inc))
         assert abs(np.mean(inc)) < 5 * se
 
-    def test_nonuniform_grid_widths(self):
-        # each interval's increments are the stream's normals scaled by the
-        # square root of that interval's substep width
-        grid = ObservationGrid([0.0, 0.1, 0.4], substeps_per_interval=2)
+    def test_draws_are_shifted_and_scaled_normals(self):
+        # each draw is shift + scale * z for the stream's normals z, in order
         normals = philox_generator(1, 0).standard_normal(4)
-        np.testing.assert_allclose(make_noise_path(1, 0, grid),
-                                   normals * np.sqrt([0.05, 0.05, 0.15, 0.15]),
+        got = draw_increments([philox_generator(1, 0)], 4, 0.3, -0.05)[0]
+        assert got.tobytes() == (normals * 0.3 - 0.05).tobytes()
+        grid = ObservationGrid.uniform(2, 0.3, 2)
+        np.testing.assert_allclose(make_noise_path(1, 0, grid), normals * math.sqrt(0.15),
                                    rtol=1e-15, atol=0)
 
     def test_invalid_seed(self):
@@ -153,12 +153,12 @@ class TestNoisePath:
     @given(cuts=st.lists(st.integers(0, 21), max_size=8),
            seed=st.integers(0, 2 ** 64 - 1))
     def test_chunked_draws_equal_the_one_shot_path(self, cuts, seed):
-        # 21 intervals of 4 substeps and three widths, cut between any
-        # intervals; a repeated cut gives an empty draw
-        grid = ObservationGrid(np.cumsum([0.0] + [0.1, 0.3, 0.05] * 7), 4)
+        # 21 intervals of 4 substeps, cut between any intervals; a repeated
+        # cut gives an empty draw
+        grid = ObservationGrid.uniform(21, 0.3, 4)
         rngs = [philox_generator(seed, stream) for stream in range(3)]
         edges = [0] + sorted(cuts) + [grid.n_intervals]
-        joined = np.hstack([draw_increments(rngs, grid.dts[lo:hi], 4)
+        joined = np.hstack([draw_increments(rngs, 4 * (hi - lo), math.sqrt(0.3 / 4))
                             for lo, hi in zip(edges, edges[1:])])
         assert joined.shape == (3, grid.total_substeps)
         for stream in range(3):
@@ -311,6 +311,9 @@ class TestObservationGrid:
         assert np.allclose(grid.times, [0, 0.25, 0.5, 0.75, 1.0])
         assert grid.n_intervals == 4
         assert grid.total_substeps == 12
+        # the one spacing the integrators step at; a grid from times has none
+        assert grid.spacing == 0.25
+        assert ObservationGrid(grid.times, 3).spacing is None
 
     def test_must_start_at_zero(self):
         with pytest.raises(ValueError, match="t=0"):

@@ -138,8 +138,9 @@ class TestClosedForm:
     @pytest.mark.parametrize("run", [
         lambda t, s: minimize_closed_form(t, CONST_FORCE, 1.0, s),
         lambda t, s: objective_curve(t, CONST_FORCE, 1.0, np.linspace(s.lo, s.hi, 5)),
-        lambda t, s: uniform_objective_gap(t, t, CONST_FORCE, 1.0, s)],
-        ids=["closed-form", "curve", "gap"])
+        lambda t, s: uniform_objective_gap(t, t, CONST_FORCE, 1.0, s),
+        lambda t, s: minimize_golden(t, CONST_FORCE, 1.0, s)],
+        ids=["closed-form", "curve", "gap", "golden"])
     def test_overflowing_c_is_named_not_the_interval(self, run):
         # coefficients (2, -0, inf): the objective is inf at every theta, and
         # each call told the user to narrow the interval
@@ -312,12 +313,12 @@ class TestGolden:
         assert res.theta_hat == pytest.approx(cf.theta_hat, abs=1e-8)
 
     def test_default_tol_results_frozen(self):
-        # values recorded when the search began on the whole interval instead
-        # of a coarse scan's bracket; the OU result is 2.0e-11 from the closed
-        # form's 1.0869672586870711
+        # values recorded when the simulators took one substep width per
+        # grid; the OU result is 3.4e-12 from the closed form's
+        # 1.0869672586870704
         res = minimize_golden(simulate_ou_dataset(seed=3), OU, 1.0,
                               ParameterSpace(-5.0, 5.0))
-        assert (res.theta_hat, res.evaluations) == (1.0869672586665866, 61)
+        assert (res.theta_hat, res.evaluations) == (1.0869672586904933, 61)
         res = minimize_golden(hand_trajectory(), CONST_FORCE, 1.0,
                               ParameterSpace(0.0, 2.0))
         assert (res.theta_hat, res.evaluations) == (1.0, 58)
@@ -352,10 +353,12 @@ def test_path_objective_equals_the_per_theta_expression(name):
     # a scalar b1
     model = MODELS[name]
     friction = 1 / 6 if name == "colloidal" else 1.0
-    grid = ObservationGrid(np.cumsum(np.r_[0.0, np.linspace(0.05, 0.15, 80)]))
     p = SystemParams(mass=1.0, friction=friction, noise=0.5, x0=1.0)
-    traj = simulate_overdamped(model, 0.02 if name == "colloidal" else 1.0, p,
-                               grid, philox_generator(5, 0))
+    path = simulate_overdamped(model, 0.02 if name == "colloidal" else 1.0, p,
+                               ObservationGrid.uniform(80, 0.1), philox_generator(5, 0))
+    # the path observed on a non-uniform grid, which the estimator takes
+    grid = ObservationGrid(np.cumsum(np.r_[0.0, np.linspace(0.05, 0.15, 80)]))
+    traj = Trajectory(grid=grid, positions=path.positions)
     evaluate = _path_objective(traj, model, friction)
     for theta in np.linspace(-3.0, 3.0, 41).tolist() + [1e200, -1e300]:
         want = reference_objective(traj, model, friction, theta)

@@ -91,7 +91,7 @@ class TestUnderdamped:
         assert np.all(np.isfinite(traj.positions))
 
     def test_observation_times_equal_grid(self):
-        grid = ObservationGrid([0.0, 0.1, 0.35, 0.5], 3)
+        grid = ObservationGrid.uniform(3, 0.1, 3)
         p = SystemParams(mass=1.0, friction=1.0, noise=1.0, x0=0.0, v0=0.0)
         traj = simulate_underdamped(OU, 1.0, p, grid, EXP, philox_generator(1, 0))
         assert traj.times is grid.times
@@ -147,6 +147,37 @@ class TestUnderdamped:
             simulate_underdamped(OU, 1.0, p, grid, EXP, philox_generator(1, 0))
         simulate_overdamped(OU, 1.0, p, grid, philox_generator(1, 0))
 
+    def test_grid_built_from_times_is_rejected(self):
+        # only a uniform grid has one substep width; even evenly spaced
+        # times do not make one, and nothing is drawn before the error
+        p = SystemParams(mass=1.0, friction=1.0, noise=1.0, x0=1.0)
+        rng = philox_generator(1, 0)
+        for grid in (ObservationGrid([0.0, 0.1, 0.35, 0.5], 3),
+                     ObservationGrid(ObservationGrid.uniform(4, 0.1, 2).times, 2)):
+            for run in (lambda: simulate_underdamped(OU, 1.0, p, grid, EXP, rng),
+                        lambda: simulate_underdamped(OU, 1.0, p, grid, EM, rng),
+                        lambda: simulate_overdamped(OU, 1.0, p, grid, rng),
+                        lambda: run_batch(OU, 1.0, p, grid, [rng])):
+                with pytest.raises(ValueError, match="ObservationGrid.uniform"):
+                    run()
+        assert rng.standard_normal() == philox_generator(1, 0).standard_normal()
+
+    @pytest.mark.parametrize("scheme,dt,name", [
+        (EXP, 0.01, "friction=1e-10"), ("overdamped", 1.0, "friction=1e-10"),
+        (EM, 0.1, "mass=1e-10")], ids=["exponential", "overdamped", "euler"])
+    def test_drift_coefficient_overflowing_is_rejected(self, scheme, dt, name):
+        # theta / friction (exponential), theta * substep / friction
+        # (overdamped) or theta * substep / mass (Euler) overflows: a
+        # parameter error naming both, even where b1 is 0
+        grid = ObservationGrid.uniform(5, dt, 1)
+        p = SystemParams(mass=1e-10, friction=1e-10, noise=1.0, x0=1.0)
+        for model in (ZERO, OU):
+            with pytest.raises(ValueError, match=f"theta=1e\\+300 is too large for {name}"):
+                run_scheme(model, 1e300, p, grid, scheme, philox_generator(1, 0))
+            if scheme is EXP:
+                with pytest.raises(ValueError, match="theta=1e\\+300"):
+                    run_batch(model, 1e300, p, grid, [philox_generator(1, 0)])
+
     @pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
     def test_non_finite_theta_is_rejected(self, theta):
         grid = ObservationGrid.uniform(5, 0.01, 2)
@@ -167,7 +198,7 @@ class TestOverdamped:
         # b = gamma * c makes Euler exact: x(t_k) = x0 + c * t_k
         gamma, c = 2.0, 0.7
         model = DriftModel("const", lambda x: 0.0, gamma * c)
-        grid = ObservationGrid([0.0, 0.125, 0.25, 1.0], 2)
+        grid = ObservationGrid.uniform(8, 0.125, 2)
         p = SystemParams(mass=1.0, friction=gamma, noise=0.0, x0=1.5)
         traj = simulate_overdamped(model, 0.0, p, grid, philox_generator(0, 0))
         assert np.allclose(traj.positions, 1.5 + c * grid.times, atol=1e-14)
@@ -223,6 +254,12 @@ class TestOverdamped:
         p = SystemParams(mass=1.0, friction=1.0, noise=0.0, x0=3.0)
         with pytest.raises(DivergenceError, match="substep"):
             simulate_overdamped(cubic, 1.0, p, grid, philox_generator(0, 0))
+
+
+def run_scheme(model, theta, p, grid, scheme, rng):
+    if scheme == "overdamped":
+        return simulate_overdamped(model, theta, p, grid, rng)
+    return simulate_underdamped(model, theta, p, grid, scheme, rng)
 
 
 def coupled_runs(model, theta, params, grid, seed):
@@ -326,33 +363,34 @@ class TestBatch:
 
 
 # SHA-256 of the positions (then velocities) bytes of 200-interval paths,
-# recorded before the integrator loops ran on Python floats. A kernel change
-# that moves any float of any scheme fails here and must say so.
+# recorded when the loops took one substep width per grid and the step's
+# theta-independent terms came with the noise. A kernel change that moves
+# any float of any scheme fails here and must say so.
 FROZEN_DIGESTS = {
     ("colloidal", 1, EXP):
-        "e7f2abcac09e8d0c9aff681de049d04efe5ab4cadd34eec7bf36a94d32894ad4",
+        "63f5daccce9850399f02bf0e3d63d9930b67c84503e45b4a21969b45a9b84925",
     ("colloidal", 1, EM):
-        "f6cad3bb46ec4c2e9318b487ea8d1d166313ee5070b7c0e88b40e77000f4bd4a",
+        "2670f3a09a04500d82814202963683bb4adc109373f89b4d5cb122d3c9d1bcd1",
     ("colloidal", 1, "overdamped"):
-        "3f6d4c2a2d637347b40a931464f53100cbb0a0c60cfa02ea95f222461de1260b",
+        "6a001c751056381ce587148b39740f44cd0cb67221511787ae9f12c3757cf526",
     ("colloidal", 10, EXP):
-        "e26d7d7a69f039cd01c4177ce7435e5a5ec5dfc75dcf218dbbe328a772b5f6a8",
+        "69b7dd2f6cb4eaf15928f1155badf575392f858ae1abaaf4e8cc32f8642f78ec",
     ("colloidal", 10, EM):
-        "363357e537ff2d5bc8c10922843dc9f5401d5af255d7c79f30dc212dcb9f9c0b",
+        "9f08c1dee4dd88fbca5547c973c08ded7a3860145a65ba56dbe380061f07bada",
     ("colloidal", 10, "overdamped"):
-        "9c84b95ac453f704be862cddc5931f84c5ef409108b3971dfb45489d06a00008",
+        "e3c01ca8a0510387c652d5343af1a8c0117d7942c8cff7ea4159b0a9a32a5ffd",
     ("ou", 1, EXP):
-        "a4c76eabf60386a9757416db916167fd47b310e832b415d25ee4c4c4d3227249",
+        "4893fbb05e2f723d9e8a132ee7abd540a7911ad65c01ad0d231428ccd8333367",
     ("ou", 1, EM):
-        "c5e70e2276195ee2edf70848f99318ac06130f6b4bce22433c1b4504825c8ebb",
+        "fc7c75832e50f98ff48e3182002cabd99c8825e36b43ba2d257361ef78054b42",
     ("ou", 1, "overdamped"):
-        "4538bb4a7e3362e42839875fdd0717e5dfa1efcad9432b8f50990e01d8c1d98f",
+        "7f193ad855382135505f4dc6e52f4ac212b2fa44b0d4ebfb6afa1cbe5ae67fa4",
     ("ou", 10, EXP):
-        "e2010bb4fc261384093919d17b1a8ae7ad03650d12b9d9b076968762b2a82046",
+        "0fdb33658054b0457f8fe9303296cdbd2dfca8aac4b9e8a7c2396426224b5035",
     ("ou", 10, EM):
-        "e27e71f6c00c9b715aeab7b02e3aa14c1a72c5582aef4095182df5a8fc25ddbf",
+        "67b08004ccf65732eccec4fd5daf4fa65a80af14a854b14abbc6904e4590104e",
     ("ou", 10, "overdamped"):
-        "1f2448c5d5007484f715c999689f271b44464350953f29ae53501f0b0760dcb2",
+        "2607d4f23a9183ecbdab7155ae60cd79fb28091b79ae7fa220800a0ee3d76317",
 }
 # friction, noise, theta and x0 per model
 FROZEN_PARAMS = {"colloidal": (1 / 6, 10.0, 0.02, 0.5), "ou": (1.0, 1.0, 1.0, 1.0)}
@@ -395,8 +433,8 @@ def test_no_draw_exceeds_the_budget(monkeypatch):
     # exactly the noise of its grid, and no piece above the budget
     sizes = []
 
-    def spy(rngs, dts, substeps):
-        out = draw_increments(rngs, dts, substeps)
+    def spy(*args):
+        out = draw_increments(*args)
         sizes.append(out.size)
         return out
 
@@ -425,35 +463,37 @@ def test_no_draw_exceeds_the_budget(monkeypatch):
 
 
 def reference_run(model, theta, p, grid, scheme, rng):
-    """The integrators' per-interval loop, kept as the reference: the
-    substep width float(dts[k]) / s and every coefficient recomputed each
-    interval, on the noise of one draw, and the state checked at the end of
-    every interval, raising the DivergenceError that loop raised."""
+    """The integrators' arithmetic as a per-interval loop, kept as the
+    reference: every constant of the step recomputed each interval from the
+    grid's one substep width, each noise term c0 + cn * sqrt(h) * z formed
+    from normals drawn in one piece, and the state checked at the end of
+    every interval, raising the DivergenceError the integrators raise."""
     mu, gamma, sigma = p.mass, p.friction, p.noise
     b1, b0 = model.b1_scalar, model.b0
     s = grid.substeps_per_interval
-    inc = draw_increments([rng], grid.dts, s)[0].tolist()
+    h = grid.spacing / s
+    z = rng.standard_normal(grid.total_substeps).tolist()
     x, v = float(p.x0), float(p.v0)
     positions, velocities = [x], [v]
     for k in range(grid.n_intervals):
-        h = float(grid.dts[k]) / s
-        steps = inc[k * s:(k + 1) * s]
         if scheme == "overdamped":
-            cb, cs = h / gamma, sigma / gamma
-            for dw in steps:
-                x = x + (theta * b1(x) + b0) * cb + cs * dw
+            c1, c0, cn = theta * (h / gamma), b0 * (h / gamma), sigma / gamma
         elif scheme is EM:
-            cb, cg, cs = h / mu, gamma * h / mu, sigma / mu
-            for dw in steps:
-                b = theta * b1(x) + b0
-                x, v = x + v * h, v + b * cb - v * cg + cs * dw
+            c1, c0, cn, cg = theta * (h / mu), b0 * (h / mu), sigma / mu, gamma * h / mu
         else:
+            c1, c0, cn = theta / gamma, b0 / gamma, sigma / (gamma * h)
             a = math.exp(-gamma * h / mu)
             one_a = 1.0 - a
             relax = (mu / gamma) * one_a
-            tail, inv_sg, inv_g = h - relax, sigma / (gamma * h), 1.0 / gamma
-            for dw in steps:
-                f = (theta * b1(x) + b0) * inv_g + inv_sg * dw
+            tail = h - relax
+        for zk in z[k * s:(k + 1) * s]:
+            e = c0 + (cn * math.sqrt(h)) * zk
+            if scheme == "overdamped":
+                x = x + c1 * b1(x) + e
+            elif scheme is EM:
+                x, v = x + v * h, v + c1 * b1(x) - v * cg + e
+            else:
+                f = c1 * b1(x) + e
                 x = x + relax * v + tail * f
                 v = a * v + one_a * f
         where = f"at substep {(k + 1) * s} (t ~ {grid.times[k + 1]:g})"
@@ -471,60 +511,52 @@ def reference_run(model, theta, p, grid, scheme, rng):
 @pytest.mark.parametrize("scheme", [EXP, EM, "overdamped"],
                          ids=["exponential", "euler", "overdamped"])
 @pytest.mark.parametrize("model_id", ["ou", "colloidal"])
-def test_equals_the_per_interval_loop_on_a_non_uniform_grid(
-        monkeypatch, model_id, scheme, substeps, draw_doubles):
-    # random interval widths: nearly every substep width is distinct
+def test_equals_the_per_interval_loop(monkeypatch, model_id, scheme, substeps,
+                                      draw_doubles):
+    # the chunked loops with their constants computed once give the
+    # reference's doubles, velocities included
     monkeypatch.setattr(simulate, "_DRAW_DOUBLES", draw_doubles)
-    widths = np.random.default_rng(substeps).uniform(0.002, 0.02, 400)
-    grid = ObservationGrid(np.cumsum(np.r_[0.0, widths]), substeps)
+    grid = ObservationGrid.uniform(400, 0.007, substeps)
     model = MODELS[model_id]
     gamma, sigma, theta, x0 = FROZEN_PARAMS[model_id]
     p = SystemParams(mass=1e-3 if scheme is EXP else 0.1, friction=gamma,
                      noise=sigma, x0=x0, v0=0.25)
     want_x, want_v = reference_run(model, theta, p, grid, scheme, philox_generator(4, 1))
-    if scheme == "overdamped":
-        traj = simulate_overdamped(model, theta, p, grid, philox_generator(4, 1))
-    else:
-        traj = simulate_underdamped(model, theta, p, grid, scheme, philox_generator(4, 1))
+    traj = run_scheme(model, theta, p, grid, scheme, philox_generator(4, 1))
+    if scheme != "overdamped":
         assert traj.velocities.tobytes() == want_v.tobytes()
     assert traj.positions.tobytes() == want_x.tobytes()
 
 
 @pytest.mark.parametrize("batch", [False, True], ids=["scalar", "batch"])
-def test_exponential_coefficients_once_per_distinct_width(monkeypatch, batch):
-    widths = []
+def test_exponential_coefficients_once_per_call(monkeypatch, batch):
+    calls = []
 
-    def spy(h, mu, gamma, sigma):
-        widths.append(h)
-        return coefficients(h, mu, gamma, sigma)
+    def spy(*args):
+        calls.append(step_constants(*args))
+        return calls[-1]
 
-    coefficients = simulate._exponential_coefficients
-    monkeypatch.setattr(simulate, "_exponential_coefficients", spy)
+    step_constants = simulate._step_constants
+    monkeypatch.setattr(simulate, "_step_constants", spy)
     # a draw every 200 intervals: the coefficients are kept across draws
     monkeypatch.setattr(simulate, "_DRAW_DOUBLES", 2000)
     p = SystemParams(mass=1e-3, friction=1 / 6, noise=10.0)
     if batch:  # 5 replicates of 2 substeps per interval
-        grid = ObservationGrid.uniform(10_000, 0.01, 2)
+        grid = ObservationGrid.uniform(2_000, 0.01, 2)
         run_batch(MODELS["colloidal"], 0.02, p, grid,
                   [philox_generator(1, r) for r in range(5)])
     else:
-        grid = ObservationGrid.uniform(20_000, 0.01, 10)
+        grid = ObservationGrid.uniform(2_000, 0.01, 10)
         simulate_underdamped(MODELS["colloidal"], 0.02, p, grid, EXP, philox_generator(1, 0))
-    distinct = set((grid.dts / grid.substeps_per_interval).tolist())
-    assert sorted(widths) == sorted(distinct)
-    assert len(widths) < grid.n_intervals / 100
+    h = 0.01 / grid.substeps_per_interval
+    (constants,) = calls
+    assert constants[5] == math.exp(-(1 / 6) * h / 1e-3)  # a, the flow's decay
 
 
-# a grid of 100 random widths, and per model an x0 far along the direction
-# in which a negative theta drives the path away
-DIVERGE_WIDTHS = np.random.default_rng(7).uniform(0.002, 0.02, 100)
+# a grid of 100 intervals, and per model an x0 far along the direction in
+# which a negative theta drives the path away
+DIVERGE_N = 100
 DIVERGE_X0 = {"ou": 1e4, "colloidal": -100.0}
-
-
-def run_scheme(model, theta, p, grid, scheme, rng):
-    if scheme == "overdamped":
-        return simulate_overdamped(model, theta, p, grid, rng)
-    return simulate_underdamped(model, theta, p, grid, scheme, rng)
 
 
 @functools.cache
@@ -535,7 +567,7 @@ def diverging_run(model_id, scheme, substeps, k):
     gamma, sigma, _, _ = FROZEN_PARAMS[model_id]
     p = SystemParams(mass=1e-3 if scheme is EXP else 0.1, friction=gamma,
                      noise=sigma, x0=DIVERGE_X0[model_id])
-    grid = ObservationGrid(np.cumsum(np.r_[0.0, DIVERGE_WIDTHS]), substeps)
+    grid = ObservationGrid.uniform(DIVERGE_N, 0.01, substeps)
 
     def diverging_interval(u):  # n when the run stays finite
         try:
@@ -566,7 +598,7 @@ def test_divergence_message_equals_the_per_interval_loop(
     # the interval the per-interval check named, with the same state: in
     # the first interval, in the middle and in the last interval of a chunk
     # (the second chunk where the grid has more than one)
-    n = len(DIVERGE_WIDTHS)
+    n = DIVERGE_N
     per_draw = min(n, max(1, draw_doubles // substeps))
     start = per_draw if per_draw < n else 0
     k = {"first": 0, "middle": start + per_draw // 2,
@@ -635,10 +667,10 @@ def test_batch_divergence_message_equals_the_per_interval_loop(monkeypatch, k):
 
 
 def test_euler_guard_fires_before_any_integration():
-    # only the last interval is too wide for the guard, and this run would
-    # diverge in its second interval: the guard names the widest substep
-    # before any noise is drawn, so the run exits 1, not 2
-    grid = ObservationGrid(np.cumsum([0.0] + [0.01] * 50 + [0.2]), 2)
+    # the substep is too wide for the guard, and this run would diverge in
+    # its first interval: the guard names the substep before any noise is
+    # drawn, so the run exits 1, not 2
+    grid = ObservationGrid.uniform(51, 0.2, 2)
     p = SystemParams(mass=0.1, friction=1.0, noise=1.0, x0=1e4)
     rng = philox_generator(1, 0)
     with pytest.raises(ValueError, match=r"substep 0\.1 >= mu/\(2\*gamma\) = 0\.05"):
