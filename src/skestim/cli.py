@@ -122,7 +122,7 @@ def _cmd_simulate(args) -> int:
     elapsed = time.perf_counter() - start
     out = _out_path(args.out)
     io.write_trajectory_csv(out, traj)
-    print(f"wrote {out}: {len(traj.grid)} rows, final position {traj.positions[-1]:.6g}")
+    print(f"wrote {out}: {len(traj.times)} rows, final position {traj.positions[-1]:.6g}")
     print(f"runtime {elapsed:.3f} s", file=sys.stderr)
     return 0
 
@@ -179,13 +179,14 @@ def _cmd_sweep(args) -> int:
     io.write_sweep_csv(out, rows)
     failures = [r for r in rows if r.error is not None]
     print(f"wrote {out}: {len(rows)} rows ({len(failures)} failed cells)")
+    errs = {(mu, n): [] for mu in cfg.mu_values for n in cfg.n_values}
+    for r in rows:  # each cell's error-free rows, in one pass
+        if r.error is None:
+            errs[r.mu, r.n].append(r.abs_error)
     print(f"{'mu':>10} {'n':>8} {'median |err|':>14}")
-    for mu in cfg.mu_values:
-        for n in cfg.n_values:
-            errs = [r.abs_error for r in rows
-                    if r.mu == mu and r.n == n and r.error is None]
-            med = float(np.median(errs)) if errs else float("nan")
-            print(f"{mu:>10g} {n:>8d} {med:>14.6g}")
+    for (mu, n), cell in errs.items():
+        med = float(np.median(cell)) if cell else float("nan")
+        print(f"{mu:>10g} {n:>8d} {med:>14.6g}")
     if len(failures) < len(rows):
         return 0
     return _fail(rows[0].error_type, f"every cell failed, the first with {rows[0].error}")

@@ -1,15 +1,16 @@
 """Domain types shared by the simulators, the estimator and the experiment drivers.
 
-All types are plain immutable dataclasses; the particle is one-dimensional
-and its state is a python float. Each drift model gives its position
-dependence once, as a profile and a rate, b1(x) == profile(rate * x): the
-integrators apply it to python floats and the estimator to a numpy array
-of positions, so that it evaluates a whole trajectory in one call.
+The particle is one-dimensional and its state is a python float. A run is
+integrated on a uniform ObservationGrid; a path, simulated or read, is a
+Trajectory, which owns its observation times. Each drift model gives its
+position dependence once, as a profile and a rate, b1(x) == profile(rate * x):
+the integrators apply it to python floats and the estimator to a numpy
+array of positions, so that it evaluates a whole trajectory in one call.
 """
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -141,14 +142,40 @@ def check_friction(friction: float, widths, **numerators: float):
 
 
 class ObservationGrid:
-    """Observation times 0 = t_0 < t_1 < ... < t_n = T plus a simulation
-    refinement: the integrator takes `substeps_per_interval` internal steps
-    inside each observation interval. Only a grid from `uniform` has a
-    spacing, which the integrators need; one built from times has None.
-    """
+    """The grid a run is integrated on, built by `uniform`: n intervals of
+    width dt at times dt * k, each taken in substeps_per_interval steps."""
 
-    def __init__(self, times, substeps_per_interval: int = 1):
-        times = np.asarray(times, dtype=float)
+    def __init__(self, n: int, dt: float, substeps_per_interval: int = 1):
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        if not (dt > 0 and math.isfinite(dt * n)):
+            raise ValueError(f"dt must be finite and > 0 with n * dt finite, got {dt}")
+        if substeps_per_interval < 1:
+            raise ValueError("substeps_per_interval must be a positive integer")
+        self.spacing = float(dt)
+        self.times = self.spacing * np.arange(n + 1)
+        self.times.setflags(write=False)
+        self.n_intervals = len(self.times) - 1
+        self.substeps_per_interval = int(substeps_per_interval)
+        self.total_substeps = self.n_intervals * self.substeps_per_interval
+
+    @classmethod
+    def uniform(cls, n: int, dt: float, substeps_per_interval: int = 1) -> "ObservationGrid":
+        return cls(n, dt, substeps_per_interval)
+
+
+@dataclass(frozen=True)
+class Trajectory:
+    """Positions (and optionally velocities) observed at times
+    0 = t_0 < t_1 < ... < t_n, read-only; dts are the widths t_k - t_{k-1}."""
+
+    times: np.ndarray
+    positions: np.ndarray
+    velocities: Optional[np.ndarray] = None
+    dts: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        times = np.asarray(self.times, dtype=float)
         if times.ndim != 1 or len(times) < 2:
             raise ValueError("grid needs at least two observation times")
         finite = np.isfinite(times)
@@ -161,67 +188,21 @@ class ObservationGrid:
         if np.any(dts <= 0):
             k = int(np.argmax(dts <= 0))
             raise ValueError(f"grid times must be strictly increasing (interval {k + 1})")
-        if substeps_per_interval < 1:
-            raise ValueError("substeps_per_interval must be a positive integer")
-        self.times = times
-        self.times.setflags(write=False)
-        self.substeps_per_interval = int(substeps_per_interval)
-        self.dts = dts
-        self.dts.setflags(write=False)
-        self.spacing = None
-
-    @classmethod
-    def uniform(cls, n: int, dt: float, substeps_per_interval: int = 1) -> "ObservationGrid":
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        if not (dt > 0 and math.isfinite(dt * n)):
-            raise ValueError(f"dt must be finite and > 0 with n * dt finite, got {dt}")
-        grid = cls(dt * np.arange(n + 1), substeps_per_interval)
-        grid.spacing = float(dt)
-        return grid
-
-    @property
-    def n_intervals(self) -> int:
-        return len(self.times) - 1
-
-    @property
-    def total_substeps(self) -> int:
-        return self.n_intervals * self.substeps_per_interval
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, ObservationGrid)
-                and self.substeps_per_interval == other.substeps_per_interval
-                and np.array_equal(self.times, other.times))
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Positions (and optionally velocities) sampled on an observation grid."""
-
-    grid: ObservationGrid
-    positions: np.ndarray
-    velocities: Optional[np.ndarray] = None
-
-    def __post_init__(self):
+        for name, value in ("times", times), ("dts", dts):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
         pos = np.asarray(self.positions, dtype=float)
-        if len(pos) != len(self.grid):
+        if len(pos) != len(times):
             raise ValueError(
-                f"positions length {len(pos)} does not match grid length {len(self.grid)}")
+                f"positions length {len(pos)} does not match grid length {len(times)}")
         if not np.all(np.isfinite(pos)):
             raise ValueError("trajectory contains non-finite positions")
         object.__setattr__(self, "positions", pos)
         if self.velocities is not None:
             vel = np.asarray(self.velocities, dtype=float)
-            if len(vel) != len(self.grid):
+            if len(vel) != len(times):
                 raise ValueError("velocities length does not match grid length")
             object.__setattr__(self, "velocities", vel)
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.grid.times
 
 
 _StreamKey = None  # the seed sequence type of philox_generator, defined on first use

@@ -59,7 +59,7 @@ def _path_objective(traj: Trajectory, model: DriftModel, friction: float):
     """The objective of one path as a function of theta, with the friction
     check and every theta-independent array computed once; a sum that
     overflows gives inf without a warning, which the minimizers report."""
-    dts = traj.grid.dts
+    dts = traj.dts
     b0 = model.b0
     with np.errstate(over="ignore", invalid="ignore"):
         xprev, d, scale = _residual_parts(traj.positions, dts, friction)
@@ -115,7 +115,7 @@ def _check_coefficients(a: float, b: float, c: float = 0.0):
 def quadratic_coefficients(traj: Trajectory, model: DriftModel,
                            friction: float):
     """Coefficients (A, B, C) with F(theta) = A theta^2 + B theta + C."""
-    a, b, c = path_coefficients(traj.positions, traj.grid.dts, model, friction)
+    a, b, c = path_coefficients(traj.positions, traj.dts, model, friction)
     _check_coefficients(float(a), float(b))
     return float(a), float(b), float(c)
 
@@ -241,7 +241,7 @@ def uniform_objective_gap(traj_under: Trajectory, traj_over: Trajectory,
                           model: DriftModel, friction: float, space: ParameterSpace) -> float:
     """Exact sup over the space of |F_underdamped - F_overdamped|, a quadratic
     largest at an end or its clipped vertex; a non-finite value is a ValueError."""
-    if traj_under.grid != traj_over.grid:
+    if not np.array_equal(traj_under.times, traj_over.times):
         raise ValueError("uniform_objective_gap requires trajectories on the same grid")
     au, bu, cu = quadratic_coefficients(traj_under, model, friction)
     ao, bo, co = quadratic_coefficients(traj_over, model, friction)

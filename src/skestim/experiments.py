@@ -45,6 +45,16 @@ def _check_distinct(key: str, values: Sequence) -> None:
         raise ValueError(f"{key} must not repeat a value, got {value} {count} times")
 
 
+def _check_masses(mu_values: Sequence[float]) -> None:
+    """Reject a mass that is not finite and > 0, or a repeated one, before any run."""
+    if not mu_values:
+        raise ValueError("mu_values must be non-empty")
+    for mu in mu_values:
+        if not (mu > 0 and math.isfinite(mu)):
+            raise ValueError(f"mu_values must be finite and > 0, got {mu}")
+    _check_distinct("mu_values", mu_values)
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Configuration of a (mu, n) consistency sweep."""
@@ -64,15 +74,13 @@ class SweepConfig:
     substeps: int = 4
 
     def __post_init__(self):
-        if not self.mu_values or any(mu <= 0 for mu in self.mu_values):
-            raise ValueError("mu_values must be positive")
+        _check_masses(self.mu_values)
         if not self.n_values or any(n < 2 for n in self.n_values):
             raise ValueError("n_values must all be >= 2")
         if not 1 <= self.replicates <= _STREAM_FIELD:
             raise ValueError(f"replicates must be in [1, {_STREAM_FIELD}]")
         if len(self.n_values) > _STREAM_FIELD:
             raise ValueError(f"at most {_STREAM_FIELD} n_values are allowed")
-        _check_distinct("mu_values", self.mu_values)
         _check_distinct("n_values", self.n_values)
         if not (self.delta > 0 and math.isfinite(self.delta)):
             raise ValueError(f"delta must be finite and > 0, got {self.delta}")
@@ -143,7 +151,7 @@ def _sweep_cell(cfg: SweepConfig, model, params: SystemParams,
     try:
         for k0, chunk, errors in simulate_underdamped_batch(
                 model, cfg.theta_true, params, grid, rngs):
-            dts = grid.dts[k0:k0 + chunk.shape[1] - 1]
+            dts = np.diff(grid.times[k0:k0 + chunk.shape[1]])
             # rows that diverged are not finite; their sums go unused
             with np.errstate(all="ignore"):
                 a_chunk, b_chunk, _ = path_coefficients(chunk, dts, model, cfg.gamma)
@@ -197,9 +205,7 @@ def run_gamma_diagnostic(mu_values: Sequence[float], n: int, seed: int,
 
     Returns a list of (mu, uniform_gap, sup_distance) tuples.
     """
-    if not mu_values:
-        raise ValueError("mu_values must be non-empty")
-    _check_distinct("mu_values", mu_values)
+    _check_masses(mu_values)
     model = MODELS["colloidal"]
     grid = ObservationGrid.uniform(n, dt, substeps)
     out = []

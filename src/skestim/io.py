@@ -12,7 +12,7 @@ import tempfile
 
 import numpy as np
 
-from .core import ConfigError, ObservationGrid, Trajectory
+from .core import ConfigError, Trajectory
 
 
 _SPEC = ".17g"
@@ -155,7 +155,7 @@ def write_columns(path: str, header: str, columns):
 
 
 def write_trajectory_csv(path: str, traj: Trajectory):
-    """Header t,x (plus v for underdamped runs), one row per grid point."""
+    """Header t,x (plus v for underdamped runs), one row per observation."""
     if traj.velocities is None:
         write_columns(path, "t,x", [traj.times, traj.positions])
     else:
@@ -180,9 +180,8 @@ def read_trajectory_csv(path: str) -> Trajectory:
         if data.shape[1] != columns:
             raise ValueError(f"header {header!r} names {columns} columns, "
                              f"the rows have {data.shape[1]}")
-        grid = ObservationGrid(data[:, 0], substeps_per_interval=1)
         vel = data[:, 2] if header == "t,x,v" else None
-        return Trajectory(grid=grid, positions=data[:, 1], velocities=vel)
+        return Trajectory(times=data[:, 0], positions=data[:, 1], velocities=vel)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 

@@ -17,10 +17,10 @@ degenerates to the overdamped Euler-Maruyama step with the same Brownian
 increment, so coupled runs converge pathwise. One python-float loop,
 _scalar_run, serves these three schemes: two underdamped, one overdamped.
 
-A run steps its grid, which must come from ObservationGrid.uniform, at one
-substep width h = dt / substeps, so a step's coefficients are constants of
-the run. Each noise draw is scaled in place to e = c0 + cn * sqrt(h) * z,
-the step's theta-independent terms, and a substep adds c1 * b1(x) to it.
+A run steps its grid at one substep width h = dt / substeps, so a step's
+coefficients are constants of the run. Each noise draw is scaled in place to
+e = c0 + cn * sqrt(h) * z, the step's theta-independent terms, and a substep
+adds c1 * b1(x) to it.
 """
 
 import math
@@ -48,13 +48,10 @@ _DRAW_DOUBLES = 65536
 def _step_constants(model: DriftModel, theta: float, params: SystemParams,
                     grid: ObservationGrid, scheme):
     """The constants of a substep under scheme (None: overdamped): the width
-    h of a uniform grid; (c1, c0, cn), its drift term c1 * b1 and noise term
-    e = c0 + cn * sqrt(h) * z; Euler's velocity decay gamma * h / mu; and the
+    h; (c1, c0, cn), its drift term c1 * b1 and noise term e = c0 + cn *
+    sqrt(h) * z; Euler's velocity decay gamma * h / mu; and the
     exponential step's flow (a, 1 - a, relax, tail). Inputs a substep cannot
     take are a ValueError, raised before any draw."""
-    if grid.spacing is None:
-        raise ValueError("only a grid from ObservationGrid.uniform can be integrated, "
-                         "at its one substep width; this one was built from times")
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta}")
     mu, gamma, sigma = params.mass, params.friction, params.noise
@@ -151,7 +148,7 @@ def _scalar_run(model: DriftModel, theta: float, params: SystemParams,
             raise _diverged(grid, k0 + 1, **{name: np.frombuffer(buffer)[k0 + 1:]
                                              for name, buffer in buffers.items()})
 
-    return Trajectory(grid=grid, positions=np.frombuffer(positions),
+    return Trajectory(grid.times, positions=np.frombuffer(positions),
                       velocities=None if overdamped else np.frombuffer(velocities))
 
 
@@ -178,12 +175,13 @@ def simulate_underdamped_batch(model: DriftModel, theta: float,
 
     Yields (k0, positions, errors) per noise chunk. Column 0 of positions is
     observation k0 (x0, or the last column of the chunk before) and the
-    others end the chunk's intervals, so grid.dts[k0:k0 + m] lines up with
-    its m increments. Joined, row r is the path simulate_underdamped gives on
-    rngs[r], bit for bit unless the profile is math.exp (applied as np.exp,
-    which can differ in the last place). errors, updated in place, holds for
-    each row None or, from the chunk where it diverges on, the DivergenceError
-    that run would raise; the row is then not finite from that observation on.
+    others end the chunk's intervals, so the widths
+    np.diff(grid.times[k0:k0 + m + 1]) line up with its m increments.
+    Joined, row r is the path simulate_underdamped gives on rngs[r], bit for
+    bit unless the profile is math.exp (applied as np.exp, which can differ
+    in the last place). errors, updated in place, holds for each row None
+    or, from the chunk where it diverges on, the DivergenceError that run
+    would raise; the row is then not finite from that observation on.
     """
     h, c1, c0, cn, _, a, one_a, relax, tail = _step_constants(
         model, theta, params, grid, Scheme.EXPONENTIAL_VELOCITY)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import skestim
-from skestim import ParameterSpace, SweepConfig, cli, io
+from skestim import ParameterSpace, SweepConfig, cli, experiments, io
 
 # the directory holding the skestim this process imported, from a checkout
 # or an install; a relative PYTHONPATH would not resolve from the child's cwd
@@ -686,6 +686,36 @@ class TestSweepCommand:
         assert proc.stderr == "error: mu_values must not repeat a value, got 0.01 2 times\n"
         assert not (tmp_path / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("value", ["inf", "nan", "-1", "0"])
+    def test_bad_mass_after_a_valid_one_exits_1(self, tmp_path, monkeypatch, capsys, value):
+        # a sweep ran every cell of 0.01 first, then exited 1 on the mass
+        monkeypatch.setattr(experiments, "simulate_underdamped_batch", None)
+        (tmp_path / "sweep.cfg").write_text(SWEEP_CFG.replace("0.1, 0.01", f"0.01, {value}"))
+        out = tmp_path / "sweep.csv"
+        assert cli.main(["sweep", "--config", str(tmp_path / "sweep.cfg"),
+                         "--out", str(out)]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: mu_values must be finite and > 0, got {float(value)}\n")
+        assert not out.exists()
+
+    def test_summary_table(self, tmp_path, capsys):
+        # the median |err| of each (mu, n) cell over its error-free rows:
+        # every row of (0.01, 100) fails, as its coefficients overflow
+        (tmp_path / "sweep.cfg").write_text(
+            "model = ou\nmu_values = 0.01, 100\nn_values = 4, 100\ndelta = 2.0\n"
+            "replicates = 3\nbase_seed = 5\ntheta_true = -50\ntheta_lo = -100\n"
+            "theta_hi = 100\n")
+        out = tmp_path / "sweep.csv"
+        assert cli.main(["sweep", "--config", str(tmp_path / "sweep.cfg"),
+                         "--out", str(out)]) == 0
+        assert capsys.readouterr().out == (
+            f"wrote {out}: 12 rows (3 failed cells)\n"
+            "        mu        n   median |err|\n"
+            "      0.01        4             50\n"
+            "      0.01      100            nan\n"
+            "       100        4        49.1124\n"
+            "       100      100        49.2532\n")
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_theta_true_exits_1(self, tmp_path, value):
         # it integrated every cell, wrote a CSV of error rows and a table of
@@ -866,6 +896,17 @@ class TestGammaDiagnosticCommand:
         assert proc.stderr == "error: mu_values must not repeat a value, got 0.1 3 times\n"
         assert proc.stdout == ""
         assert not (tmp_path / "g.csv").exists()
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "-1", "0"])
+    def test_bad_mass_after_a_valid_one_exits_1(self, tmp_path, monkeypatch, capsys, value):
+        # the valid mass was integrated first, then the run stopped on the bad one
+        monkeypatch.setattr(experiments, "simulate_underdamped", None)
+        out = tmp_path / "g.csv"
+        assert cli.main(["gamma-diagnostic", "--seed", "1", f"--mu-values=0.1,{value}",
+                         "--n", "50", "--out", str(out)]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: mu_values must be finite and > 0, got {float(value)}\n")
+        assert not out.exists()
 
     def test_substep_too_small_for_the_exponential_scheme_exits_1(self, tmp_path):
         proc = run_cli(["gamma-diagnostic", "--seed", "1", "--n", "5", "--dt", "1e-320",

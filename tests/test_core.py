@@ -311,29 +311,9 @@ class TestObservationGrid:
         assert np.allclose(grid.times, [0, 0.25, 0.5, 0.75, 1.0])
         assert grid.n_intervals == 4
         assert grid.total_substeps == 12
-        # the one spacing the integrators step at; a grid from times has none
+        # the one spacing the integrators step at
         assert grid.spacing == 0.25
-        assert ObservationGrid(grid.times, 3).spacing is None
-
-    def test_must_start_at_zero(self):
-        with pytest.raises(ValueError, match="t=0"):
-            ObservationGrid([0.5, 1.0])
-
-    def test_strictly_increasing(self):
-        with pytest.raises(ValueError, match="increasing"):
-            ObservationGrid([0.0, 1.0, 1.0])
-
-    def test_needs_two_points(self):
-        with pytest.raises(ValueError):
-            ObservationGrid([0.0])
-
-    @pytest.mark.parametrize("times,bad", [
-        ([0.0, math.nan, 2.0], "t_1=nan"), ([0.0, 1.0, math.inf], "t_2=inf"),
-        ([math.nan, 1.0], "t_0=nan"), ([0.0, -math.inf, math.nan], "t_1=-inf")])
-    def test_times_must_be_finite(self, times, bad):
-        # nan passes the ordering check; an inf time gives an inf width
-        with pytest.raises(ValueError, match=f"finite, got {bad}$"):
-            ObservationGrid(times)
+        assert not grid.times.flags.writeable
 
     @pytest.mark.parametrize("dt", [0.0, -0.1, math.inf, -math.inf, math.nan, 1e308])
     def test_uniform_needs_finite_positive_dt(self, dt):
@@ -341,15 +321,50 @@ class TestObservationGrid:
         with pytest.raises(ValueError, match="dt"):
             ObservationGrid.uniform(10, dt)
 
+    def test_uniform_needs_an_interval_and_a_substep(self):
+        with pytest.raises(ValueError, match="^n must be >= 1$"):
+            ObservationGrid.uniform(0, 0.1)
+        with pytest.raises(ValueError, match="^substeps_per_interval must be a positive"):
+            ObservationGrid.uniform(10, 0.1, 0)
+
 
 class TestTrajectory:
+
+    def test_times_and_widths(self):
+        times = np.array([0.0, 0.5, 0.7, 1.9])
+        traj = Trajectory(times=times, positions=np.zeros(4))
+        assert np.array_equal(traj.times, times)
+        assert np.array_equal(traj.dts, np.diff(times))
+        # read-only, as a grid's times are
+        with pytest.raises(ValueError, match="read-only"):
+            traj.times[1] = 0.6
+
+    def test_must_start_at_zero(self):
+        with pytest.raises(ValueError, match="t=0"):
+            Trajectory(times=[0.5, 1.0], positions=np.zeros(2))
+
+    def test_strictly_increasing(self):
+        with pytest.raises(ValueError, match="increasing"):
+            Trajectory(times=[0.0, 1.0, 1.0], positions=np.zeros(3))
+
+    def test_needs_two_points(self):
+        with pytest.raises(ValueError):
+            Trajectory(times=[0.0], positions=np.zeros(1))
+
+    @pytest.mark.parametrize("times,bad", [
+        ([0.0, math.nan, 2.0], "t_1=nan"), ([0.0, 1.0, math.inf], "t_2=inf"),
+        ([math.nan, 1.0], "t_0=nan"), ([0.0, -math.inf, math.nan], "t_1=-inf")])
+    def test_times_must_be_finite(self, times, bad):
+        # nan passes the ordering check; an inf time gives an inf width
+        with pytest.raises(ValueError, match=f"finite, got {bad}$"):
+            Trajectory(times=times, positions=np.zeros(len(times)))
 
     def test_length_mismatch(self):
         grid = ObservationGrid.uniform(3, 0.1)
         with pytest.raises(ValueError, match="length"):
-            Trajectory(grid=grid, positions=np.zeros(3))
+            Trajectory(times=grid.times, positions=np.zeros(3))
 
     def test_rejects_non_finite(self):
         grid = ObservationGrid.uniform(2, 0.1)
         with pytest.raises(ValueError, match="non-finite"):
-            Trajectory(grid=grid, positions=np.array([0.0, np.nan, 1.0]))
+            Trajectory(times=grid.times, positions=np.array([0.0, np.nan, 1.0]))

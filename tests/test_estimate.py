@@ -22,8 +22,7 @@ OU = MODELS["ou"]
 def hand_trajectory():
     """x goes 0 -> 1 over a unit interval; with b = theta and gamma = 1 the
     objective is exactly (1 - theta)^2."""
-    grid = ObservationGrid([0.0, 1.0])
-    return Trajectory(grid=grid, positions=np.array([0.0, 1.0]))
+    return Trajectory(times=[0.0, 1.0], positions=np.array([0.0, 1.0]))
 
 
 def simulate_ou_dataset(seed, n=50, dt=0.1, sigma=0.3, theta=1.0):
@@ -45,8 +44,8 @@ class TestObjective:
         # theta-independent drift leaves zero residuals for every theta
         gamma, c = 2.0, 0.4
         model = DriftModel("const", lambda x: 0.0, gamma * c)
-        grid = ObservationGrid([0.0, 0.5, 0.7, 1.9])
-        traj = Trajectory(grid=grid, positions=c * grid.times)
+        times = np.array([0.0, 0.5, 0.7, 1.9])
+        traj = Trajectory(times=times, positions=c * times)
         for theta in [0.0, 1.0, -3.0]:
             assert objective(traj, model, gamma, theta) == pytest.approx(0.0, abs=1e-24)
 
@@ -100,7 +99,7 @@ class TestClosedForm:
     def test_identifiability_error_when_b1_vanishes(self):
         # OU model on an all-zero path: b1(x) = -x vanishes identically
         grid = ObservationGrid.uniform(5, 0.1)
-        traj = Trajectory(grid=grid, positions=np.zeros(6))
+        traj = Trajectory(times=grid.times, positions=np.zeros(6))
         with pytest.raises(IdentifiabilityError):
             minimize_closed_form(traj, OU, 1.0, ParameterSpace(-1.0, 1.0))
 
@@ -109,15 +108,14 @@ class TestClosedForm:
         # friction 1e-307 passes the friction checks, but (dt / friction)^2
         # overflows A: a ValueError naming the friction, without a warning,
         # not an IdentifiabilityError saying b1 vanishes
-        grid = ObservationGrid([0.0, 1.0, 2.0])
-        traj = Trajectory(grid=grid, positions=np.array([1.0, 2.0, 1.5]))
+        traj = Trajectory(times=[0.0, 1.0, 2.0], positions=np.array([1.0, 2.0, 1.5]))
         with pytest.raises(ValueError, match="friction"):
             minimize_closed_form(traj, model, 1e-307, ParameterSpace(0.0, 1.0))
 
     def test_every_use_of_the_coefficients_rejects_overflow(self):
         # A overflows while the objective stays finite on a tiny interval:
         # the curve and the gap raise clipped_vertex's error, not a warning
-        traj = Trajectory(grid=ObservationGrid([0.0, 0.01, 0.02]),
+        traj = Trajectory(times=[0.0, 0.01, 0.02],
                           positions=np.array([0.0, 1e-3, 2e-3]))
         for run in (lambda: quadratic_coefficients(traj, OU, 1e-307),
                     lambda: objective_curve(traj, OU, 1e-307, np.linspace(0.0, 1e-300, 5)),
@@ -129,7 +127,7 @@ class TestClosedForm:
     def test_non_finite_objective_at_the_vertex_names_c(self):
         # far from the wall at a tiny friction A and B stay finite, but C and
         # so the objective at the vertex overflow; it named the interval
-        traj = Trajectory(grid=ObservationGrid([0.0, 1.0, 2.0]),
+        traj = Trajectory(times=[0.0, 1.0, 2.0],
                           positions=np.array([5000.0, 5001.0, 5000.5]))
         with pytest.raises(ValueError, match=r"coefficient C = F\(0\) overflows \(C=inf\)"):
             minimize_closed_form(traj, MODELS["colloidal"], 1e-160,
@@ -144,7 +142,7 @@ class TestClosedForm:
     def test_overflowing_c_is_named_not_the_interval(self, run):
         # coefficients (2, -0, inf): the objective is inf at every theta, and
         # each call told the user to narrow the interval
-        traj = Trajectory(grid=ObservationGrid([0.0, 1.0, 2.0]),
+        traj = Trajectory(times=[0.0, 1.0, 2.0],
                           positions=np.array([0.0, 1e200, 0.0]))
         with pytest.raises(ValueError, match=r"^the objective's coefficient C = F\(0\) "
                                              r"overflows \(C=inf\): the increments"):
@@ -153,20 +151,20 @@ class TestClosedForm:
     def test_overflowing_c_cancelled_at_the_vertex_still_fits(self):
         # C = 1e400 overflows, but the residual vanishes at the vertex
         # theta = 1e200, where the direct objective is 0
-        traj = Trajectory(grid=ObservationGrid([0.0, 1.0]), positions=np.array([0.0, 1e200]))
+        traj = Trajectory(times=[0.0, 1.0], positions=np.array([0.0, 1e200]))
         assert quadratic_coefficients(traj, CONST_FORCE, 1.0) == (1.0, -2e200, math.inf)
         result = minimize_closed_form(traj, CONST_FORCE, 1.0, ParameterSpace(-1.0, 1e300))
         assert (result.theta_hat, result.objective_at_min) == (1e200, 0.0)
 
     def test_non_finite_objective_at_the_clipped_vertex(self):
-        traj = Trajectory(grid=ObservationGrid([0.0, 1.0, 2.0]),
+        traj = Trajectory(times=[0.0, 1.0, 2.0],
                           positions=np.array([0.0, 1.0, 0.5]))
         with pytest.raises(ValueError, match=r"theta=1e\+299.*\[1e\+299, 1e\+300\]"):
             minimize_closed_form(traj, OU, 1.0, ParameterSpace(1e299, 1e300))
 
     def test_non_finite_curve_names_the_first_theta_and_the_interval(self):
         # finite coefficients, but A theta^2 overflows at the ends of the grid
-        traj = Trajectory(grid=ObservationGrid([0.0, 1.0, 2.0]),
+        traj = Trajectory(times=[0.0, 1.0, 2.0],
                           positions=np.array([0.0, 1.0, 0.5]))
         with pytest.raises(ValueError, match=r"inf at theta=-1e\+300, not a finite "
                                              r"value; narrow the interval "
@@ -175,7 +173,7 @@ class TestClosedForm:
 
     def test_friction_times_step_underflowing_is_rejected(self):
         # every quotient of the friction is finite, but friction * dt is 0
-        traj = Trajectory(grid=ObservationGrid([0.0, 1e-200, 2e-200]),
+        traj = Trajectory(times=[0.0, 1e-200, 2e-200],
                           positions=np.array([0.0, 1.0, 0.5]))
         with pytest.raises(ValueError, match=r"friction \* step > 0"):
             minimize_closed_form(traj, OU, 1e-200, ParameterSpace(0.0, 1.0))
@@ -208,8 +206,7 @@ class TestClosedForm:
         traj = simulate_ou_dataset(seed=9)
         res = minimize_closed_form(traj, OU, 1.0, ParameterSpace(-5.0, 5.0))
         c = 3.7
-        scaled_grid = ObservationGrid(traj.grid.times * c)
-        scaled = Trajectory(grid=scaled_grid, positions=traj.positions)
+        scaled = Trajectory(times=traj.times * c, positions=traj.positions)
         res_scaled = minimize_closed_form(scaled, OU, c * 1.0,
                                           ParameterSpace(-5.0, 5.0))
         assert res_scaled.theta_hat == pytest.approx(res.theta_hat, abs=1e-10)
@@ -238,7 +235,7 @@ class TestGolden:
         thetas = np.arange(space.lo, space.hi + 1e-9, 1e-5)
         # the objective at every theta, a block of thetas a row each, in the
         # evaluator's order: r = d - scale * (theta * g + b0), sum(r * r / dts)
-        dts = traj.grid.dts
+        dts = traj.dts
         xprev, d, scale = _residual_parts(traj.positions, dts, 1.0)
         g = OU.b1(xprev)
         vals = []
@@ -341,7 +338,7 @@ class TestGolden:
 
 def reference_objective(traj, model, friction, theta):
     """The objective as one expression, every part recomputed per theta."""
-    x, dts = traj.positions, traj.grid.dts
+    x, dts = traj.positions, traj.dts
     with np.errstate(over="ignore", invalid="ignore"):
         r = x[1:] - x[:-1] - dts / friction * (theta * model.b1(x[:-1]) + model.b0)
         return float(np.sum(r * r / dts))
@@ -356,9 +353,9 @@ def test_path_objective_equals_the_per_theta_expression(name):
     p = SystemParams(mass=1.0, friction=friction, noise=0.5, x0=1.0)
     path = simulate_overdamped(model, 0.02 if name == "colloidal" else 1.0, p,
                                ObservationGrid.uniform(80, 0.1), philox_generator(5, 0))
-    # the path observed on a non-uniform grid, which the estimator takes
-    grid = ObservationGrid(np.cumsum(np.r_[0.0, np.linspace(0.05, 0.15, 80)]))
-    traj = Trajectory(grid=grid, positions=path.positions)
+    # the path observed at non-uniform times, which the estimator takes
+    times = np.cumsum(np.r_[0.0, np.linspace(0.05, 0.15, 80)])
+    traj = Trajectory(times=times, positions=path.positions)
     evaluate = _path_objective(traj, model, friction)
     for theta in np.linspace(-3.0, 3.0, 41).tolist() + [1e200, -1e300]:
         want = reference_objective(traj, model, friction, theta)
@@ -422,6 +419,17 @@ class TestUniformObjectiveGap:
         over = simulate_overdamped(model, 0.02, p, grid, philox_generator(12, 0))
         return under, over, model
 
+    def test_trajectories_must_share_their_times(self):
+        # the same times from a grid and from a list compare equal
+        under = Trajectory(times=ObservationGrid.uniform(2, 1.0).times,
+                           positions=np.array([0.0, 1.0, 0.5]))
+        over = Trajectory(times=[0.0, 1.0, 2.0], positions=np.array([0.0, 0.5, 0.5]))
+        assert uniform_objective_gap(under, over, OU, 1.0, ParameterSpace(-1.0, 1.0)) > 0
+        later = Trajectory(times=[0.0, 1.0, 3.0], positions=over.positions)
+        with pytest.raises(ValueError, match="^uniform_objective_gap requires "
+                                             "trajectories on the same grid$"):
+            uniform_objective_gap(under, later, OU, 1.0, ParameterSpace(-1.0, 1.0))
+
     def test_identical_trajectories_zero_gap(self):
         traj = simulate_ou_dataset(seed=1)
         gap = uniform_objective_gap(traj, traj, OU, 1.0, ParameterSpace(-2.0, 2.0))
@@ -450,9 +458,9 @@ class TestUniformObjectiveGap:
         # C overflows while A and B stay finite; the gap was nan for the path
         # with itself and inf with a finite path, which gamma-diagnostic
         # would have written to its CSV with exit 0. The error names C
-        grid = ObservationGrid([0.0, 1.0, 2.0])
-        big = Trajectory(grid=grid, positions=np.array([0.0, 1e200, 0.0]))
-        small = Trajectory(grid=grid, positions=np.array([0.0, 1.0, 0.0]))
+        times = [0.0, 1.0, 2.0]
+        big = Trajectory(times=times, positions=np.array([0.0, 1e200, 0.0]))
+        small = Trajectory(times=times, positions=np.array([0.0, 1.0, 0.0]))
         assert quadratic_coefficients(big, CONST_FORCE, 1.0) == (2.0, -0.0, math.inf)
         for under, over in [(big, big), (big, small), (small, big)]:
             with pytest.raises(ValueError, match=r"C = F\(0\) overflows \(C=inf\)"):
@@ -461,11 +469,11 @@ class TestUniformObjectiveGap:
 
 
 def random_walks(rng, rows, n, scale):
-    """rows random walks of n steps on one random non-uniform grid"""
-    grid = ObservationGrid(np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 0.2, n))]))
+    """rows random walks of n steps at one set of random non-uniform times"""
+    times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 0.2, n))])
     positions = rng.uniform(-1.0, 1.0, (rows, 1)) + np.concatenate(
         [np.zeros((rows, 1)), np.cumsum(rng.normal(0.0, scale, (rows, n)), axis=1)], axis=1)
-    return grid, positions
+    return times, positions
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -477,12 +485,12 @@ def test_row_fits_equal_the_closed_form_per_row(name, rows, n, seed, scale):
     # identifiability error must be those of the path fitted alone
     friction, _, space = RANDOM_PATH_CASES[name]
     model = MODELS[name]
-    grid, positions = random_walks(np.random.default_rng(seed), rows, n, scale)
-    a, b, c = path_coefficients(positions, grid.dts, model, friction)
+    times, positions = random_walks(np.random.default_rng(seed), rows, n, scale)
+    a, b, c = path_coefficients(positions, np.diff(times), model, friction)
     # one A per row also where b1 does not depend on position
     assert a.shape == b.shape == c.shape == (rows,)
     for r in range(rows):
-        traj = Trajectory(grid=grid, positions=positions[r])
+        traj = Trajectory(times=times, positions=positions[r])
         assert (float(a[r]), float(b[r]), float(c[r])) == quadratic_coefficients(
             traj, model, friction)
         try:
@@ -506,8 +514,8 @@ def test_gap_is_the_exact_sup_of_the_quadratic_difference(name, n, seed, scale):
     # point of a 1,001-point grid gives a larger |dq| in the same Horner form
     friction, _, space = RANDOM_PATH_CASES[name]
     model = MODELS[name]
-    grid, positions = random_walks(np.random.default_rng(seed), 2, n, scale)
-    under, over = (Trajectory(grid=grid, positions=row) for row in positions)
+    times, positions = random_walks(np.random.default_rng(seed), 2, n, scale)
+    under, over = (Trajectory(times=times, positions=row) for row in positions)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         gap = uniform_objective_gap(under, over, model, friction, space)

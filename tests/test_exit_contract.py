@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skestim import (MODELS, ObservationGrid, ParameterSpace, Trajectory, cli,
+from skestim import (MODELS, ParameterSpace, Trajectory, cli,
                      minimize_closed_form, minimize_golden)
 
 DBL_MAX = "1.7976931348623157e308"
@@ -159,7 +159,7 @@ def _estimate(positions, model, gamma, lo, hi, *extra):
 
 def _fit(minimize, positions, model, gamma, lo, hi):
     """The same fit through the library, whose theta_hat keeps every digit."""
-    traj = Trajectory(ObservationGrid([0.0, 1.0, 2.0]), np.array(positions))
+    traj = Trajectory([0.0, 1.0, 2.0], np.array(positions))
     return minimize(traj, MODELS[model], float(gamma), ParameterSpace(float(lo), float(hi)))
 
 

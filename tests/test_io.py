@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skestim import ConfigError, ObservationGrid, Trajectory
+from skestim import ConfigError, Trajectory
 from skestim import io
 
 
 def test_trajectory_round_trip_exact(tmp_path):
-    grid = ObservationGrid([0.0, 0.1, 0.30000000000000004, 1.7])
     rng = np.random.default_rng(0)
-    traj = Trajectory(grid=grid, positions=rng.standard_normal(4) * 1e3,
+    traj = Trajectory(times=[0.0, 0.1, 0.30000000000000004, 1.7],
+                      positions=rng.standard_normal(4) * 1e3,
                       velocities=rng.standard_normal(4) * 1e-7)
     path = str(tmp_path / "traj.csv")
     io.write_trajectory_csv(path, traj)
@@ -24,8 +24,7 @@ def test_trajectory_round_trip_exact(tmp_path):
 
 
 def test_trajectory_without_velocities(tmp_path):
-    grid = ObservationGrid([0.0, 1.0])
-    traj = Trajectory(grid=grid, positions=np.array([0.0, 2.0]))
+    traj = Trajectory(times=[0.0, 1.0], positions=np.array([0.0, 2.0]))
     path = str(tmp_path / "traj.csv")
     io.write_trajectory_csv(path, traj)
     back = io.read_trajectory_csv(path)
@@ -64,7 +63,7 @@ def test_trajectory_csv_matches_per_value_format(tmp_path, with_velocities):
     times = np.concatenate([[0.0, 5e-324], np.cumsum(rng.random(n - 2) + 1e-3)])
     positions = random_finite_doubles(rng, n)
     velocities = random_finite_doubles(rng, n)[::-1] if with_velocities else None
-    traj = Trajectory(grid=ObservationGrid(times), positions=positions,
+    traj = Trajectory(times=times, positions=positions,
                       velocities=velocities)
     path = tmp_path / "traj.csv"
     io.write_trajectory_csv(str(path), traj)
@@ -145,7 +144,7 @@ def trajectories(draw):
     times = [0.0] + sorted(later)
     column = st.lists(FINITE, min_size=len(times), max_size=len(times))
     velocities = draw(st.none() | column)
-    return Trajectory(grid=ObservationGrid(times), positions=np.array(draw(column)),
+    return Trajectory(times=times, positions=np.array(draw(column)),
                       velocities=None if velocities is None else np.array(velocities))
 
 
@@ -221,8 +220,7 @@ def test_path_read_gives_the_malformed_row_message_of_the_handle_read(tmp_path, 
 
 
 def test_no_temp_files_left_behind(tmp_path):
-    grid = ObservationGrid([0.0, 1.0])
-    traj = Trajectory(grid=grid, positions=np.array([0.0, 2.0]))
+    traj = Trajectory(times=[0.0, 1.0], positions=np.array([0.0, 2.0]))
     io.write_trajectory_csv(str(tmp_path / "a.csv"), traj)
     assert [p.name for p in tmp_path.iterdir()] == ["a.csv"]
 
@@ -231,7 +229,7 @@ def test_no_temp_files_left_behind(tmp_path):
 def test_written_file_gets_the_mode_open_gives(tmp_path, umask):
     # the temporary file mkstemp makes is 0600; the file renamed over the
     # target gets 0666 less the umask, as one open() creates does
-    traj = Trajectory(grid=ObservationGrid([0.0, 1.0]), positions=np.array([0.0, 2.0]))
+    traj = Trajectory(times=[0.0, 1.0], positions=np.array([0.0, 2.0]))
     old = os.umask(umask)
     try:
         io.write_trajectory_csv(str(tmp_path / "a.csv"), traj)
@@ -244,7 +242,7 @@ def test_written_file_gets_the_mode_open_gives(tmp_path, umask):
 
 def underdamped_trajectory(n):
     rng = np.random.default_rng(5)
-    return Trajectory(grid=ObservationGrid.uniform(n - 1, 0.01),
+    return Trajectory(times=0.01 * np.arange(n),
                       positions=np.cumsum(rng.standard_normal(n)),
                       velocities=rng.standard_normal(n) * 1e3)
 

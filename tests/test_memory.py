@@ -74,7 +74,7 @@ def path():
     # a reflected random walk: b1 = exp(-x / 18) stays in (0, 1]
     steps = np.random.default_rng(5).normal(0.0, 0.3, N)
     positions = np.abs(np.cumsum(np.r_[0.0, steps]))
-    return Trajectory(ObservationGrid.uniform(N, 0.01), positions)
+    return Trajectory(ObservationGrid.uniform(N, 0.01).times, positions)
 
 
 def test_quadratic_coefficients(path):

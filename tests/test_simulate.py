@@ -147,21 +147,6 @@ class TestUnderdamped:
             simulate_underdamped(OU, 1.0, p, grid, EXP, philox_generator(1, 0))
         simulate_overdamped(OU, 1.0, p, grid, philox_generator(1, 0))
 
-    def test_grid_built_from_times_is_rejected(self):
-        # only a uniform grid has one substep width; even evenly spaced
-        # times do not make one, and nothing is drawn before the error
-        p = SystemParams(mass=1.0, friction=1.0, noise=1.0, x0=1.0)
-        rng = philox_generator(1, 0)
-        for grid in (ObservationGrid([0.0, 0.1, 0.35, 0.5], 3),
-                     ObservationGrid(ObservationGrid.uniform(4, 0.1, 2).times, 2)):
-            for run in (lambda: simulate_underdamped(OU, 1.0, p, grid, EXP, rng),
-                        lambda: simulate_underdamped(OU, 1.0, p, grid, EM, rng),
-                        lambda: simulate_overdamped(OU, 1.0, p, grid, rng),
-                        lambda: run_batch(OU, 1.0, p, grid, [rng])):
-                with pytest.raises(ValueError, match="ObservationGrid.uniform"):
-                    run()
-        assert rng.standard_normal() == philox_generator(1, 0).standard_normal()
-
     @pytest.mark.parametrize("scheme,dt,name", [
         (EXP, 0.01, "friction=1e-10"), ("overdamped", 1.0, "friction=1e-10"),
         (EM, 0.1, "mass=1e-10")], ids=["exponential", "overdamped", "euler"])
